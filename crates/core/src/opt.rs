@@ -41,10 +41,7 @@ impl OptConfig {
 /// Statistics of one optimization run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OptStats {
-    pub msr_converted: usize,
     pub rtelm_removed: usize,
-    pub retime_inserted: usize,
-    pub xbar_dup: usize,
 }
 
 /// Apply the enabled VUDFG-level optimizations in place and return

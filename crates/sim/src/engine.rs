@@ -1,14 +1,20 @@
 //! The simulation engine: builds runtime state from a compiled VUDFG and
 //! advances it until the program completes (or deadlocks).
 //!
-//! Two cycle-for-cycle equivalent schedulers are provided:
+//! One setup ([`run`]) serves both entry points: [`simulate`] runs a
+//! graph on one chip, and [`crate::simulate_system`] runs it on a linked
+//! multi-chip system, where every unit belongs to a chip with its own
+//! DRAM controller and crossing streams pass through the inter-chip link
+//! regulator ([`crate::link`]). Either way one of two cycle-for-cycle
+//! equivalent schedulers advances the fabric:
 //!
 //! * the **dense** reference loop steps every unit on every cycle;
 //! * the default **active-list** (wakeup-driven) loop steps a unit only
 //!   when something it can observe changed — an input stream delivered a
-//!   packet, an output stream freed capacity, a DRAM response arrived, or
-//!   one of its own timers (AG run staleness) fired — and fast-forwards
-//!   the clock over cycles with no scheduled events.
+//!   packet (on time, or late after link slip or a delay fault), an
+//!   output stream freed capacity, a DRAM response arrived, or one of its
+//!   own timers (AG run staleness) fired — and fast-forwards the clock
+//!   over cycles with no scheduled events.
 //!
 //! The equivalence rests on one invariant of the unit steppers: stepping
 //! a unit whose observable state (its own state plus the dst-visible /
@@ -18,15 +24,14 @@
 //! one of the wake conditions above occurs.
 
 use crate::fault::{FaultPlan, Injector};
+use crate::link::Links;
 use crate::packet::PacketArena;
 use crate::profile::Profiler;
 use crate::sanitize::Sanitizer;
 use crate::stream::StreamRt;
-use crate::units::{
-    AgRt, CollRt, CompleteKind, Ctx, DistRt, StallClass, SyncRt, UKind, Units, VcuRt, VmuRt,
-};
+use crate::units::{AgRt, CollRt, CompleteKind, Ctx, DistRt, SyncRt, UKind, Units, VcuRt, VmuRt};
 use crate::watchdog;
-use plasticine_arch::ChipSpec;
+use plasticine_arch::{ChipSpec, DramKind};
 use ramulator_lite::{DramError, DramModelCfg, DramSim, DramStats, Response};
 use sara_core::profile::SimProfile;
 use sara_core::robust::{InvariantKind, SanitizerReport, WatchdogReport};
@@ -71,15 +76,6 @@ pub struct SimConfig {
     /// Replace the chip's DRAM model configuration (latency/bandwidth
     /// stress tests, e.g. watchdog false-positive checks).
     pub dram_override: Option<DramModelCfg>,
-    /// Epoch-batched firing: when exactly one unit is runnable and its
-    /// wait-set provably cannot change before the next scheduled event
-    /// (all producers are lower-indexed, DRAM idle, no injector/sanitizer/
-    /// profiler observing), the active scheduler advances that unit
-    /// through consecutive cycles in a tight inner loop instead of going
-    /// through full event-queue rounds. Cycle counts and results are
-    /// bit-identical either way; batching is automatically bypassed in
-    /// dense mode and whenever `profile`/`faults`/`sanitize` is set.
-    pub batch: bool,
 }
 
 impl Default for SimConfig {
@@ -95,7 +91,6 @@ impl Default for SimConfig {
             dram_retry_timeout: 10_000,
             dram_max_retries: 3,
             dram_override: None,
-            batch: true,
         }
     }
 }
@@ -211,94 +206,105 @@ impl SimOutcome {
 /// default, in which case every hook below compiles down to a skipped
 /// branch and the simulation is bit-identical to the pre-robustness
 /// engine.
-pub(crate) struct Robust {
-    pub(crate) inj: Option<Injector>,
-    pub(crate) san: Option<Sanitizer>,
-    pub(crate) retry_timeout: u64,
-    pub(crate) max_retries: u32,
+struct Robust {
+    inj: Option<Injector>,
+    san: Option<Sanitizer>,
+    retry_timeout: u64,
+    max_retries: u32,
 }
 
 impl Robust {
-    /// Run end-of-cycle invariant checks (sanitize mode).
-    pub(crate) fn sanitize_cycle(
-        &mut self,
-        now: u64,
-        streams: &[StreamRt],
-        units: &Units,
-        dram: &DramSim,
-    ) -> Result<(), SimError> {
-        // Mirror injected-fault events into the report ring first so a
-        // violation report names its own cause.
-        if let (Some(inj), Some(san)) = (self.inj.as_mut(), self.san.as_mut()) {
-            for (cycle, what) in inj.applied.drain(..) {
-                san.record(cycle, what);
-            }
-        }
-        let Some(san) = self.san.as_mut() else { return Ok(()) };
-        san.check_streams(now, streams).map_err(SimError::Sanitizer)?;
-        // The SoA vectors are filled in unit-index order, so this matches
-        // the old per-unit scan exactly.
-        for v in &units.vmus {
-            san.check_vmu(now, v).map_err(SimError::Sanitizer)?;
-        }
-        san.check_dram(now, dram).map_err(SimError::Sanitizer)?;
-        Ok(())
-    }
-
-    /// Fault mode: reissue overdue DRAM requests; typed error when a run
-    /// exhausts its budget. Returns the number of reissues (progress).
-    pub(crate) fn poll_ag_retries(
-        &mut self,
-        now: u64,
-        units: &mut Units,
-        dram: &mut DramSim,
-    ) -> Result<u64, SimError> {
-        if self.inj.is_none() {
-            return Ok(0);
-        }
-        let mut reissued = 0u64;
-        for a in units.ags.iter_mut() {
-            match a.poll_retries(now, dram, self.retry_timeout, self.max_retries) {
-                Ok(tags) => {
-                    for (tag, nth) in tags {
-                        reissued += 1;
-                        if let Some(san) = self.san.as_mut() {
-                            san.record(now, format!("retry #{nth} reissued request {tag:#x}"));
-                        }
-                    }
-                }
-                Err(error) => {
-                    return Err(SimError::Dram { cycle: now, unit: a.label.clone(), error });
-                }
-            }
-        }
-        Ok(reissued)
-    }
-
     /// Earliest future cycle the retry poller must run at (fault mode).
-    pub(crate) fn next_retry_deadline(&self, units: &Units) -> Option<u64> {
+    fn next_retry_deadline(&self, units: &Units) -> Option<u64> {
         self.inj.as_ref()?;
         units.ags.iter().filter_map(|a| a.next_retry_deadline(self.retry_timeout)).min()
     }
 }
 
-/// Build the deadlock error: run the watchdog's wait-for analysis and
-/// append its rendering to the legacy stall/backpressure diagnostic.
-pub(crate) fn deadlock_error(
+/// The runtime state of one simulation, built by [`run`] for either
+/// entry point and advanced by either scheduler.
+struct Fabric<'a> {
+    g: &'a Vudfg,
+    cfg: &'a SimConfig,
+    streams: Vec<StreamRt>,
+    units: Units,
+    /// Payload storage for every in-flight packet.
+    arena: PacketArena,
+    /// One DRAM controller per chip. All back the one word `image` (a
+    /// partitioned-bandwidth, shared-address-space model).
+    drams: Vec<DramSim>,
+    /// Chip of every unit: the index of the controller its requests use.
+    chip_of: Vec<u32>,
+    image: Vec<Elem>,
+    /// Streams that must drain before the program can finish.
+    must_drain: Vec<bool>,
+    prof: Option<Profiler>,
+    robust: Robust,
+    /// Inter-chip link regulator (multi-chip systems only).
+    links: Option<Links>,
+}
+
+/// Shared setup of [`simulate`] and [`crate::simulate_system`]: build the
+/// runtime state of `g` with `chips` DRAM controllers of technology
+/// `dram` (`chip_of` assigns every unit one), advance it with the
+/// scheduler `cfg` selects, and assemble the outcome.
+pub(crate) fn run(
     g: &Vudfg,
-    units: &Units,
-    streams: &[StreamRt],
-    cycle: u64,
-    stalled_for: u64,
-) -> SimError {
-    let report = watchdog::diagnose_waitfor(g, units, streams, cycle, stalled_for);
-    let diagnostic = diagnose(units, streams) + &diagnose_streams(g, streams) + &report.to_string();
-    SimError::Deadlock { cycle, diagnostic, report: Box::new(report) }
+    cfg: &SimConfig,
+    dram: DramKind,
+    chips: usize,
+    chip_of: Vec<u32>,
+    links: Option<Links>,
+) -> Result<SimOutcome, SimError> {
+    let streams = build_streams(g);
+    let inj = match cfg.faults.as_ref() {
+        Some(plan) => {
+            let mut inj = Injector::new(plan, g).map_err(|message| SimError::Config { message })?;
+            inj.prime(&streams);
+            Some(inj)
+        }
+        None => None,
+    };
+    let mut f = Fabric {
+        g,
+        cfg,
+        units: build_units(g),
+        arena: PacketArena::new(),
+        drams: (0..chips)
+            .map(|_| match &cfg.dram_override {
+                Some(c) => DramSim::with_cfg(c.clone()),
+                None => DramSim::new(dram),
+            })
+            .collect(),
+        chip_of,
+        image: build_image(g),
+        must_drain: build_must_drain(g),
+        prof: cfg.profile.then(|| Profiler::new(g, &streams, cfg.profile_epoch)),
+        robust: Robust {
+            inj,
+            san: cfg.sanitize.then(|| Sanitizer::new(g)),
+            retry_timeout: cfg.dram_retry_timeout,
+            max_retries: cfg.dram_max_retries,
+        },
+        links,
+        streams,
+    };
+    let now = if cfg.dense { run_dense(&mut f)? } else { run_active(&mut f)? };
+    Ok(f.finish(now))
+}
+
+/// Simulate a compiled (and ideally placed-and-routed) VUDFG.
+///
+/// # Errors
+///
+/// Deadlock, timeout, or a unit fault (see [`SimError`]).
+pub fn simulate(g: &Vudfg, chip: &ChipSpec, cfg: &SimConfig) -> Result<SimOutcome, SimError> {
+    run(g, cfg, chip.dram, 1, vec![0; g.units.len()], None)
 }
 
 /// Runtime stream state, one per stream spec (token streams start with
 /// their initial CMMC credits queued).
-pub(crate) fn build_streams(g: &Vudfg) -> Vec<StreamRt> {
+fn build_streams(g: &Vudfg) -> Vec<StreamRt> {
     g.streams
         .iter()
         .map(|s| {
@@ -313,7 +319,7 @@ pub(crate) fn build_streams(g: &Vudfg) -> Vec<StreamRt> {
 
 /// The flat DRAM word image, with every tensor's init copied in at its
 /// base address.
-pub(crate) fn build_image(g: &Vudfg) -> Vec<Elem> {
+fn build_image(g: &Vudfg) -> Vec<Elem> {
     let total_words = g.drams.iter().map(|d| (d.base / 4) as usize + d.words).max().unwrap_or(0);
     let mut image: Vec<Elem> = vec![Elem::F64(0.0); total_words];
     for d in &g.drams {
@@ -325,7 +331,7 @@ pub(crate) fn build_image(g: &Vudfg) -> Vec<Elem> {
 
 /// Runtime unit state (struct-of-arrays: a tag vector plus dense
 /// per-kind vectors, each filled in unit-index order).
-pub(crate) fn build_units(g: &Vudfg) -> Units {
+fn build_units(g: &Vudfg) -> Units {
     let mut units = Units::default();
     for (i, u) in g.units.iter().enumerate() {
         let tag = match &u.kind {
@@ -385,7 +391,7 @@ pub(crate) fn build_units(g: &Vudfg) -> Units {
 /// Streams into compute units may retain trailing epoch markers or
 /// unused credits after the consumer completes; token streams retain
 /// their initial credits.
-pub(crate) fn build_must_drain(g: &Vudfg) -> Vec<bool> {
+fn build_must_drain(g: &Vudfg) -> Vec<bool> {
     g.streams
         .iter()
         .map(|s| {
@@ -396,125 +402,18 @@ pub(crate) fn build_must_drain(g: &Vudfg) -> Vec<bool> {
         .collect()
 }
 
-/// Final outcome assembly shared by the single- and multi-chip paths:
-/// per-tensor DRAM slices plus aggregate statistics.
-pub(crate) fn collect_outcome(
-    g: &Vudfg,
-    now: u64,
-    image: &[Elem],
-    units: &Units,
-    dram_stats: DramStats,
-    profile: Option<SimProfile>,
-) -> SimOutcome {
-    let mut dram_final = HashMap::new();
-    for d in &g.drams {
-        let b = (d.base / 4) as usize;
-        dram_final.insert(d.mem, image[b..b + d.words].to_vec());
+/// Sum of the DRAM controllers' statistics.
+fn sum_stats(drams: &[DramSim]) -> DramStats {
+    let mut agg = DramStats::default();
+    for d in drams {
+        let s = d.stats();
+        agg.read_bytes += s.read_bytes;
+        agg.write_bytes += s.write_bytes;
+        agg.requests += s.requests;
+        agg.row_hits += s.row_hits;
+        agg.row_misses += s.row_misses;
     }
-    let mut stats = SimStats { dram: dram_stats, ..SimStats::default() };
-    let compute_units = units.vcus.len() as u64;
-    for v in &units.vcus {
-        stats.firings += v.firings;
-        stats.unit_firings.insert(v.label.clone(), v.firings);
-    }
-    for a in &units.ags {
-        stats.ag_bytes += a.bytes;
-    }
-    stats.utilization = if now > 0 && compute_units > 0 {
-        stats.firings as f64 / (now as f64 * compute_units as f64)
-    } else {
-        0.0
-    };
-    SimOutcome { cycles: now, dram_final, stats, profile }
-}
-
-/// Simulate a compiled (and ideally placed-and-routed) VUDFG.
-///
-/// # Errors
-///
-/// Deadlock, timeout, or a unit fault (see [`SimError`]).
-pub fn simulate(g: &Vudfg, chip: &ChipSpec, cfg: &SimConfig) -> Result<SimOutcome, SimError> {
-    let mut streams = build_streams(g);
-    let mut image = build_image(g);
-    let mut dram = match &cfg.dram_override {
-        Some(c) => DramSim::with_cfg(c.clone()),
-        None => DramSim::new(chip.dram),
-    };
-    let mut units = build_units(g);
-
-    // ---- packet arena (payload storage for every in-flight packet) ----
-    let mut arena = PacketArena::new();
-
-    let must_drain = build_must_drain(g);
-
-    // ---- robustness layer ----
-    let inj = match cfg.faults.as_ref() {
-        Some(plan) => {
-            let mut inj = Injector::new(plan, g).map_err(|message| SimError::Config { message })?;
-            inj.prime(&streams);
-            Some(inj)
-        }
-        None => None,
-    };
-    let san = cfg.sanitize.then(|| Sanitizer::new(g));
-    let mut robust = Robust {
-        inj,
-        san,
-        retry_timeout: cfg.dram_retry_timeout,
-        max_retries: cfg.dram_max_retries,
-    };
-
-    // ---- main loop ----
-    let mut prof = cfg.profile.then(|| Profiler::new(g, &streams, cfg.profile_epoch));
-    let now = if cfg.dense {
-        run_dense(
-            g,
-            cfg,
-            &mut streams,
-            &mut units,
-            &mut arena,
-            &mut dram,
-            &mut image,
-            &must_drain,
-            &mut prof,
-            &mut robust,
-        )?
-    } else {
-        run_active(
-            g,
-            cfg,
-            &mut streams,
-            &mut units,
-            &mut arena,
-            &mut dram,
-            &mut image,
-            &must_drain,
-            &mut prof,
-            &mut robust,
-        )?
-    };
-    let profile = prof.map(|p| p.finish(now, &streams));
-    Ok(collect_outcome(g, now, &image, &units, dram.stats(), profile))
-}
-
-/// Step one unit; on stepper error, wrap into a [`SimError::Fault`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn step_unit(
-    units: &mut Units,
-    i: usize,
-    now: u64,
-    streams: &mut [StreamRt],
-    arena: &mut PacketArena,
-    progress: &mut u64,
-    dram: &mut DramSim,
-    image: &mut [Elem],
-) -> Result<(), SimError> {
-    let mut ctx = Ctx { now, streams, arena, progress };
-    units.step(i, &mut ctx, dram, image).map_err(|message| SimError::Fault {
-        cycle: now,
-        unit: units.fault_label(i),
-        message,
-    })
+    agg
 }
 
 /// Route one DRAM response to its AG. Returns `true` when it matched an
@@ -522,7 +421,7 @@ pub(crate) fn step_unit(
 /// the retry path are absorbed; an unknown response is a sanitizer
 /// violation when sanitizing, silently dropped otherwise (pre-existing
 /// behavior).
-pub(crate) fn deliver_response(
+fn deliver_response(
     now: u64,
     r: &Response,
     units: &mut Units,
@@ -570,113 +469,212 @@ pub(crate) fn deliver_response(
     }
 }
 
-/// Completion test: all compute done, all AGs drained, DRAM idle, and
-/// every must-drain stream empty (up to trailing markers).
-fn finished(units: &Units, dram: &DramSim, streams: &[StreamRt], must_drain: &[bool]) -> bool {
-    let all_done = units.vcus.iter().all(|v| v.done) && units.ags.iter().all(|a| a.idle());
-    all_done && !dram.busy() && streams.iter().zip(must_drain).all(|(s, d)| !*d || s.is_drained())
+impl Fabric<'_> {
+    /// Step unit `i` at `now`, then charge the packets it pushed onto
+    /// crossing streams against the links (`slipped(t, s)` hears of each
+    /// late delivery) and let the profiler observe it.
+    fn step(
+        &mut self,
+        i: usize,
+        now: u64,
+        progress: &mut u64,
+        slipped: impl FnMut(u64, usize),
+    ) -> Result<(), SimError> {
+        let before = *progress;
+        let dram = &mut self.drams[self.chip_of[i] as usize];
+        let mut ctx = Ctx { now, streams: &mut self.streams, arena: &mut self.arena, progress };
+        self.units.step(i, &mut ctx, dram, &mut self.image).map_err(|message| SimError::Fault {
+            cycle: now,
+            unit: self.units.fault_label(i),
+            message,
+        })?;
+        if let Some(links) = self.links.as_mut() {
+            links.after_step(i, now, &mut self.streams, slipped);
+        }
+        if let Some(p) = self.prof.as_mut() {
+            if let UKind::Vcu(k) = self.units.kind[i] {
+                p.observe_vcu(i, now, &self.units.vcus[k as usize], *progress > before);
+            }
+            p.observe_unit_streams(i, now, &self.streams);
+        }
+        Ok(())
+    }
+
+    /// Tick every DRAM controller at `now`, collecting the completed
+    /// responses into `responses` in chip order.
+    fn tick_drams(&mut self, now: u64, responses: &mut Vec<Response>) {
+        responses.clear();
+        for d in &mut self.drams {
+            d.tick(now, responses);
+        }
+        if let Some(p) = self.prof.as_mut() {
+            p.observe_dram(now, sum_stats(&self.drams));
+        }
+    }
+
+    fn dram_busy(&self) -> bool {
+        self.drams.iter().any(DramSim::busy)
+    }
+
+    /// Fault mode: reissue overdue DRAM requests; typed error when a run
+    /// exhausts its budget. Returns the number of reissues (progress).
+    fn poll_ag_retries(&mut self, now: u64) -> Result<u64, SimError> {
+        let r = &mut self.robust;
+        if r.inj.is_none() {
+            return Ok(0);
+        }
+        let mut reissued = 0u64;
+        for a in self.units.ags.iter_mut() {
+            let dram = &mut self.drams[self.chip_of[a.unit_index] as usize];
+            match a.poll_retries(now, dram, r.retry_timeout, r.max_retries) {
+                Ok(tags) => {
+                    for (tag, nth) in tags {
+                        reissued += 1;
+                        if let Some(san) = r.san.as_mut() {
+                            san.record(now, format!("retry #{nth} reissued request {tag:#x}"));
+                        }
+                    }
+                }
+                Err(error) => {
+                    return Err(SimError::Dram { cycle: now, unit: a.label.clone(), error });
+                }
+            }
+        }
+        Ok(reissued)
+    }
+
+    /// Run end-of-cycle invariant checks (sanitize mode): stream and VMU
+    /// invariants, then the DRAM-side checks once per controller.
+    fn sanitize_cycle(&mut self, now: u64) -> Result<(), SimError> {
+        let r = &mut self.robust;
+        // Mirror injected-fault events into the report ring first so a
+        // violation report names its own cause.
+        if let (Some(inj), Some(san)) = (r.inj.as_mut(), r.san.as_mut()) {
+            for (cycle, what) in inj.applied.drain(..) {
+                san.record(cycle, what);
+            }
+        }
+        let Some(san) = r.san.as_mut() else { return Ok(()) };
+        san.check_streams(now, &self.streams).map_err(SimError::Sanitizer)?;
+        // The SoA vectors are filled in unit-index order, so this matches
+        // the old per-unit scan exactly.
+        for v in &self.units.vmus {
+            san.check_vmu(now, v).map_err(SimError::Sanitizer)?;
+        }
+        for d in &self.drams {
+            san.check_dram(now, d).map_err(SimError::Sanitizer)?;
+        }
+        Ok(())
+    }
+
+    /// Completion test: all compute done, all AGs drained, every DRAM
+    /// controller idle, and every must-drain stream empty (up to
+    /// trailing markers).
+    fn finished(&self) -> bool {
+        let units = &self.units;
+        let all_done = units.vcus.iter().all(|v| v.done) && units.ags.iter().all(|a| a.idle());
+        all_done
+            && !self.dram_busy()
+            && self.streams.iter().zip(&self.must_drain).all(|(s, d)| !*d || s.is_drained())
+    }
+
+    /// Build the deadlock error: run the watchdog's wait-for analysis and
+    /// append its rendering to the legacy stall/backpressure diagnostic.
+    fn deadlock(&self, cycle: u64, stalled_for: u64) -> SimError {
+        let (g, units, streams) = (self.g, &self.units, &self.streams);
+        let report = watchdog::diagnose_waitfor(g, units, streams, cycle, stalled_for);
+        let diagnostic =
+            diagnose(units, streams) + &diagnose_streams(g, streams) + &report.to_string();
+        SimError::Deadlock { cycle, diagnostic, report: Box::new(report) }
+    }
+
+    /// Final outcome assembly: per-tensor DRAM slices, aggregate
+    /// statistics and the finished profile.
+    fn finish(mut self, now: u64) -> SimOutcome {
+        let profile = self.prof.take().map(|p| p.finish(now, &self.streams));
+        let mut dram_final = HashMap::new();
+        for d in &self.g.drams {
+            let b = (d.base / 4) as usize;
+            dram_final.insert(d.mem, self.image[b..b + d.words].to_vec());
+        }
+        let mut stats = SimStats { dram: sum_stats(&self.drams), ..SimStats::default() };
+        let compute_units = self.units.vcus.len() as u64;
+        for v in &self.units.vcus {
+            stats.firings += v.firings;
+            stats.unit_firings.insert(v.label.clone(), v.firings);
+        }
+        for a in &self.units.ags {
+            stats.ag_bytes += a.bytes;
+        }
+        stats.utilization = if now > 0 && compute_units > 0 {
+            stats.firings as f64 / (now as f64 * compute_units as f64)
+        } else {
+            0.0
+        };
+        SimOutcome { cycles: now, dram_final, stats, profile }
+    }
 }
 
 /// Reference scheduler: tick every stream and step every unit, every
 /// cycle. Returns the completion cycle.
-#[allow(clippy::too_many_arguments)]
-fn run_dense(
-    g: &Vudfg,
-    cfg: &SimConfig,
-    streams: &mut [StreamRt],
-    units: &mut Units,
-    arena: &mut PacketArena,
-    dram: &mut DramSim,
-    image: &mut [Elem],
-    must_drain: &[bool],
-    prof: &mut Option<Profiler>,
-    robust: &mut Robust,
-) -> Result<u64, SimError> {
-    let n = units.len();
+fn run_dense(f: &mut Fabric) -> Result<u64, SimError> {
+    let n = f.units.len();
     let mut now: u64 = 0;
     let mut last_progress_cycle: u64 = 0;
     let mut responses = Vec::new();
     loop {
         now += 1;
-        if now > cfg.max_cycles {
+        if now > f.cfg.max_cycles {
             return Err(SimError::Timeout { cycle: now });
         }
-        if let Some(inj) = robust.inj.as_mut() {
-            inj.begin_cycle(now, streams, arena);
+        if let Some(inj) = f.robust.inj.as_mut() {
+            inj.begin_cycle(now, &mut f.streams, &mut f.arena);
         }
-        for s in streams.iter_mut() {
+        for s in f.streams.iter_mut() {
             s.tick(now);
         }
         let mut progress: u64 = 0;
         for i in 0..n {
-            if let Some(inj) = robust.inj.as_ref() {
+            if let Some(inj) = f.robust.inj.as_ref() {
                 // A stall fault freezes the unit: not stepped at all.
                 if inj.unit_stalled(i, now).is_some() {
                     continue;
                 }
             }
-            let before = progress;
-            step_unit(units, i, now, streams, arena, &mut progress, dram, image)?;
-            if let Some(p) = prof.as_mut() {
-                if let UKind::Vcu(k) = units.kind[i] {
-                    p.observe_vcu(i, now, &units.vcus[k as usize], progress > before);
-                }
-                p.observe_unit_streams(i, now, streams);
-            }
+            f.step(i, now, &mut progress, |_, _| {})?;
         }
-        progress += robust.poll_ag_retries(now, units, dram)?;
-        responses.clear();
-        dram.tick(now, &mut responses);
-        if let Some(p) = prof.as_mut() {
-            p.observe_dram(now, dram.stats());
-        }
-        if let Some(inj) = robust.inj.as_mut() {
+        progress += f.poll_ag_retries(now)?;
+        f.tick_drams(now, &mut responses);
+        if let Some(inj) = f.robust.inj.as_mut() {
             inj.filter_responses(now, &mut responses);
             responses.extend(inj.due_responses(now));
         }
         for r in &responses {
-            deliver_response(now, r, units, robust, &mut progress)?;
+            deliver_response(now, r, &mut f.units, &mut f.robust, &mut progress)?;
         }
-        if let Some(inj) = robust.inj.as_mut() {
-            inj.end_cycle(now, streams, arena);
+        if let Some(inj) = f.robust.inj.as_mut() {
+            inj.end_cycle(now, &mut f.streams, &mut f.arena);
         }
-        robust.sanitize_cycle(now, streams, units, dram)?;
+        f.sanitize_cycle(now)?;
         if progress > 0 {
             last_progress_cycle = now;
         }
-        if finished(units, dram, streams, must_drain) {
+        if f.finished() {
             return Ok(now);
         }
-        if now - last_progress_cycle > cfg.deadlock_window {
+        if now - last_progress_cycle > f.cfg.deadlock_window {
             // Slow-but-live is not deadlock: outstanding DRAM work always
             // completes (bumping progress), pending fault-plan state still
             // mutates the simulation, and an armed retry will fire. Only
             // when none of those can move does the watchdog declare.
-            let live = dram.busy()
-                || robust.inj.as_ref().map(|i| i.pending(now)).unwrap_or(false)
-                || robust.next_retry_deadline(units).is_some();
+            let live = f.dram_busy()
+                || f.robust.inj.as_ref().is_some_and(|i| i.pending(now))
+                || f.robust.next_retry_deadline(&f.units).is_some();
             if !live {
-                return Err(deadlock_error(g, units, streams, now, now - last_progress_cycle));
+                return Err(f.deadlock(now, now - last_progress_cycle));
             }
         }
     }
-}
-
-/// Observable-input signature of a unit whose stepper is a pure function
-/// of adjacent-stream and internal state (VMU/Sync/Dist/Coll): the sum of
-/// `arrived` over its inputs and `freed` over its outputs. Both counters
-/// are monotonic and only other units move them (the unit itself only
-/// pops its inputs / pushes its outputs), so an unchanged sum after a
-/// no-op step proves the next step is also a no-op.
-fn wait_sig(streams: &[StreamRt], ins: &[usize], outs: &[usize]) -> u64 {
-    let mut sig = 0u64;
-    for &s in ins {
-        sig = sig.wrapping_add(streams[s].arrived);
-    }
-    for &s in outs {
-        sig = sig.wrapping_add(streams[s].freed);
-    }
-    sig
 }
 
 /// Calendar-wheel event queue for (cycle, unit) wake events.
@@ -781,7 +779,8 @@ impl EventWheel {
 /// A unit is stepped at cycle `t` iff an event targets it at `t`:
 ///
 /// * **delivery** — a packet pushed to one of its input streams arrives
-///   (push time + stream latency);
+///   (push time + stream latency, or later when link slip or a delay
+///   fault holds the packet in flight);
 /// * **capacity** — one of its output streams was popped. The dense loop
 ///   steps units in index order, so a pop by a lower-indexed consumer is
 ///   visible to the producer the *same* cycle while a pop by a
@@ -796,32 +795,22 @@ impl EventWheel {
 /// When no event targets the current cycle the clock fast-forwards to the
 /// next event (bounded by the deadlock deadline and the cycle limit), and
 /// streams are ticked lazily just before their consumer steps.
-#[allow(clippy::too_many_arguments)]
-fn run_active(
-    g: &Vudfg,
-    cfg: &SimConfig,
-    streams: &mut [StreamRt],
-    units: &mut Units,
-    arena: &mut PacketArena,
-    dram: &mut DramSim,
-    image: &mut [Elem],
-    must_drain: &[bool],
-    prof: &mut Option<Profiler>,
-    robust: &mut Robust,
-) -> Result<u64, SimError> {
-    let n = units.len();
+fn run_active(f: &mut Fabric) -> Result<u64, SimError> {
+    let n = f.units.len();
+    let cfg = f.cfg;
     if n == 0 {
         // Degenerate graph: the dense loop completes (or deadlocks) on
         // cycle 1 with nothing to step.
-        return if finished(units, dram, streams, must_drain) {
+        return if f.finished() {
             Ok(1)
         } else {
-            Err(deadlock_error(g, units, streams, cfg.deadlock_window + 1, cfg.deadlock_window + 1))
+            Err(f.deadlock(cfg.deadlock_window + 1, cfg.deadlock_window + 1))
         };
     }
 
     // Static adjacency: per-unit input/output stream indices, per-stream
     // endpoints and latency.
+    let g = f.g;
     let unit_inputs: Vec<Vec<usize>> =
         g.units.iter().map(|u| u.inputs.iter().map(|s| s.index()).collect()).collect();
     let unit_outputs: Vec<Vec<usize>> = g
@@ -831,21 +820,7 @@ fn run_active(
         .collect();
     let src_of: Vec<usize> = g.streams.iter().map(|s| s.src.index()).collect();
     let dst_of: Vec<usize> = g.streams.iter().map(|s| s.dst.index()).collect();
-    let lat_of: Vec<u64> = streams.iter().map(|s| s.latency()).collect();
-
-    // Epoch batching eligibility. Batching is a pure scheduling shortcut,
-    // so anything that observes or mutates per-cycle state from outside
-    // the stepped unit (injector, sanitizer, profiler) disables it.
-    let batch_ok = cfg.batch && robust.inj.is_none() && robust.san.is_none() && prof.is_none();
-    // A unit may be fast-forwarded when its wait-set provably cannot
-    // change without a scheduled event: every producer feeding it is
-    // lower-indexed (so a pop wake is an explicit next-cycle event, never
-    // a same-cycle `active` flag), and it is not an AG (DRAM timing).
-    let fast_ok: Vec<bool> = (0..n)
-        .map(|i| {
-            !matches!(units.kind[i], UKind::Ag(_)) && unit_inputs[i].iter().all(|&s| src_of[s] < i)
-        })
-        .collect();
+    let lat_of: Vec<u64> = f.streams.iter().map(|s| s.latency()).collect();
 
     // Future wake events (cycle, unit). Duplicate entries are tolerated:
     // draining one merely sets an `active` flag.
@@ -859,33 +834,11 @@ fn run_active(
     // This round's wake list (indices into `units`), sorted before the
     // stepping pass; same-cycle wakes insert into the unprocessed tail.
     let mut alist: Vec<u32> = Vec::with_capacity(n);
-    // Precise stall wait-sets: when a VCU ends a step blocked, the engine
-    // snapshots the monotonic counter of the one stream whose change can
-    // unblock it (`arrived` for input/credit stalls, `freed` for output
-    // stalls). A wake that finds the counter unchanged is provably a
-    // no-op step and is dropped without running the stepper. Valid only
-    // while the unit's `stall_class != None`.
-    let mut stall_seen = vec![0u64; n];
-    // Parked pure-stream units (VMU/Sync/Dist/Coll) whose last step was a
-    // no-op: skipped while their `wait_sig` is unchanged.
-    let sig_ok: Vec<bool> = (0..n)
-        .map(|i| {
-            matches!(
-                units.kind[i],
-                UKind::Vmu(_) | UKind::Sync(_) | UKind::Dist(_) | UKind::Coll(_)
-            )
-        })
-        .collect();
-    let mut sig_parked = vec![false; n];
-    let mut sig_seen = vec![0u64; n];
-    // Pending staleness-flush wake per AG (dedup: one live flush event at
-    // a time; each fired probe re-arms the next deadline).
-    let mut flush_evt = vec![0u64; n];
     // VCUs not yet done — an O(1) guard in front of the full
     // `finished()` scan, which otherwise walks every unit and stream on
     // every processed round.
-    let mut undone = units.vcus.iter().filter(|v| !v.done).count();
-    // Next DRAM completion, valid after every dram.tick.
+    let mut undone = f.units.vcus.iter().filter(|v| !v.done).count();
+    // Next DRAM completion on any chip, valid after every DRAM tick.
     let mut dram_next: Option<u64> = None;
 
     // Last observed per-stream push/free counters, for post-step wake
@@ -896,8 +849,8 @@ fn run_active(
     // a difference after a step identifies exactly the streams that step
     // touched. Global arrays instead of per-step snapshots: no per-step
     // clear/fill churn.
-    let mut seen_pushed: Vec<u64> = streams.iter().map(|s| s.pushed).collect();
-    let mut seen_freed: Vec<u64> = streams.iter().map(|s| s.freed).collect();
+    let mut seen_pushed: Vec<u64> = f.streams.iter().map(|s| s.pushed).collect();
+    let mut seen_freed: Vec<u64> = f.streams.iter().map(|s| s.freed).collect();
 
     let mut now: u64;
     let mut last_progress_cycle: u64 = 0;
@@ -907,8 +860,8 @@ fn run_active(
     loop {
         // ---- pick the next cycle with any event ----
         let next_unit_event = events.next_time();
-        let inj_next = robust.inj.as_ref().and_then(|i| i.next_cycle(prev_now));
-        let retry_next = robust.next_retry_deadline(units);
+        let inj_next = f.robust.inj.as_ref().and_then(|i| i.next_cycle(prev_now));
+        let retry_next = f.robust.next_retry_deadline(&f.units);
         let target = [next_unit_event, dram_next, inj_next, retry_next].into_iter().flatten().min();
         // The dense loop keeps ticking through event-free cycles, so it
         // reaches the no-progress deadline (or the cycle limit) even when
@@ -920,13 +873,13 @@ fn run_active(
             // completion, a pending fault-plan mutation, or an armed retry
             // past the deadline means the fabric can still move — jump to
             // it instead of declaring (the dense loop defers identically
-            // via its `dram.busy()` guard).
+            // via its `dram_busy()` guard).
             let live = dram_next.is_some() || inj_next.is_some() || retry_next.is_some();
             if !live {
                 return if deadline > cfg.max_cycles {
                     Err(SimError::Timeout { cycle: cfg.max_cycles + 1 })
                 } else {
-                    Err(deadlock_error(g, units, streams, deadline, deadline - last_progress_cycle))
+                    Err(f.deadlock(deadline, deadline - last_progress_cycle))
                 };
             }
         }
@@ -936,8 +889,8 @@ fn run_active(
         now = target;
 
         // ---- apply cycle-armed faults (credit leak/steal) ----
-        if let Some(inj) = robust.inj.as_mut() {
-            for s in inj.begin_cycle(now, streams, arena) {
+        if let Some(inj) = f.robust.inj.as_mut() {
+            for s in inj.begin_cycle(now, &mut f.streams, &mut f.arena) {
                 // A mutated token edge is observable at both endpoints.
                 for u in [dst_of[s], src_of[s]] {
                     if !active[u] {
@@ -950,8 +903,6 @@ fn run_active(
 
         // ---- collect this cycle's active set ----
         let mut stepped_any = false;
-        let mut stepped_count: usize = 0;
-        let mut sole: usize = 0;
         events.advance(now);
         events.drain_now(now, &mut active, &mut alist);
 
@@ -963,7 +914,7 @@ fn run_active(
             let i = alist[pos] as usize;
             pos += 1;
             active[i] = false;
-            if let Some(inj) = robust.inj.as_ref() {
+            if let Some(inj) = f.robust.inj.as_ref() {
                 // A stall fault freezes the unit; re-arm its wake for the
                 // thaw cycle so no wakeup is lost.
                 if let Some(thaw) = inj.unit_stalled(i, now) {
@@ -971,85 +922,32 @@ fn run_active(
                     continue;
                 }
             }
-            // Precise-wake filter: a VCU blocked at a recorded stall site
-            // stays blocked until *that* stream changes (conditions it
-            // already passed cannot unpass: its inputs only gain packets
-            // and its outputs only gain space without it stepping), so a
-            // wake that leaves the stall counter unchanged is dropped.
-            if batch_ok {
-                if let Some(v) = units.vcu(i) {
-                    if let (class, Some(sid)) = (v.stall_class, v.stall_stream) {
-                        let sx = sid.index();
-                        let still = match class {
-                            StallClass::CreditPop | StallClass::InputData => {
-                                streams[sx].tick(now);
-                                streams[sx].arrived == stall_seen[i]
-                            }
-                            StallClass::OutputSpace => streams[sx].freed == stall_seen[i],
-                            StallClass::None => false,
-                        };
-                        if still {
-                            continue;
-                        }
-                    }
-                }
-                // A parked pure-stream unit is skipped until anything it
-                // can observe changes.
-                if sig_ok[i] && sig_parked[i] {
-                    for &s in &unit_inputs[i] {
-                        streams[s].tick(now);
-                    }
-                    if wait_sig(streams, &unit_inputs[i], &unit_outputs[i]) == sig_seen[i] {
-                        continue;
-                    }
-                }
-            }
             stepped_any = true;
-            stepped_count += 1;
-            sole = i;
 
             // Lazy delivery: packets whose arrival time has passed become
             // visible exactly as the dense loop's global tick would make
             // them (ticking does not affect capacity, so producers never
             // need their output streams ticked).
             for &s in &unit_inputs[i] {
-                streams[s].tick(now);
+                f.streams[s].tick(now);
             }
             let progress_before = progress;
-            let was_done = matches!(units.kind[i], UKind::Vcu(k) if units.vcus[k as usize].done);
+            let was_done = f.units.vcu(i).is_some_and(|v| v.done);
 
-            step_unit(units, i, now, streams, arena, &mut progress, dram, image)?;
+            // A slipped packet wakes its consumer at its delayed delivery.
+            f.step(i, now, &mut progress, |t, s| events.push(t, dst_of[s]))?;
 
-            if let Some(p) = prof.as_mut() {
-                if let UKind::Vcu(k) = units.kind[i] {
-                    p.observe_vcu(i, now, &units.vcus[k as usize], progress > progress_before);
-                }
-                p.observe_unit_streams(i, now, streams);
-            }
-
-            if let UKind::Vcu(k) = units.kind[i] {
-                let v = &units.vcus[k as usize];
-                if v.done && !was_done {
-                    undone -= 1;
-                }
-                if batch_ok {
-                    if let Some(sid) = v.stall_stream {
-                        // Inputs were ticked at step entry, so `arrived` is
-                        // current as of `now`; later deliveries re-tick in
-                        // the filter before comparing.
-                        stall_seen[i] = match v.stall_class {
-                            StallClass::OutputSpace => streams[sid.index()].freed,
-                            _ => streams[sid.index()].arrived,
-                        };
-                    }
-                }
+            let units = &f.units;
+            let streams = &f.streams;
+            if !was_done && units.vcu(i).is_some_and(|v| v.done) {
+                undone -= 1;
             }
 
             // A done VCU's step is unconditionally a no-op (`done` is
             // sticky), so wakes targeting one are dropped. With the
             // profiler attached, wakes are kept so per-cycle observations
             // match the unpruned schedule.
-            let prune = prof.is_none();
+            let prune = f.prof.is_none();
             let mut changed = progress > progress_before;
             // Pushes on output streams wake the consumer at delivery time.
             for &s in &unit_outputs[i] {
@@ -1101,41 +999,18 @@ fn run_active(
                 // The staleness flush is evaluated inside the step, so the
                 // unit must be stepped when the run's deadline passes.
                 if let Some(t) = a.flush_due() {
-                    let tt = t.max(now + 1);
-                    if !batch_ok || flush_evt[i] <= now || flush_evt[i] > tt {
-                        events.push(tt, i);
-                        flush_evt[i] = tt;
-                    }
+                    events.push(t.max(now + 1), i);
                 }
             }
-            if changed {
-                // A stalled VCU's self-wake would be dropped by the
-                // precise-wake filter anyway (only the recorded stall
-                // stream can unblock it, and that neighbor action
-                // schedules its own wake) — skip the heap churn.
-                let suppress = units.vcu(i).is_some_and(|v| {
-                    (prune && v.done) || (batch_ok && v.stall_class != StallClass::None)
-                });
-                if !suppress {
-                    events.push(now + 1, i);
-                }
-            }
-            if batch_ok && sig_ok[i] {
-                if changed {
-                    sig_parked[i] = false;
-                } else {
-                    // Inputs were ticked at step entry, so the signature
-                    // is current as of `now`.
-                    sig_parked[i] = true;
-                    sig_seen[i] = wait_sig(streams, &unit_inputs[i], &unit_outputs[i]);
-                }
+            if changed && !(prune && units.vcu(i).is_some_and(|v| v.done)) {
+                events.push(now + 1, i);
             }
         }
         alist.clear();
 
         // ---- end-of-cycle packet faults ----
-        if let Some(inj) = robust.inj.as_mut() {
-            let wakes = inj.end_cycle(now, streams, arena);
+        if let Some(inj) = f.robust.inj.as_mut() {
+            let wakes = inj.end_cycle(now, &mut f.streams, &mut f.arena);
             for s in wakes.streams {
                 // Dropped/corrupted packets change what both endpoints
                 // can observe next cycle (capacity freed, payload
@@ -1149,7 +1024,7 @@ fn run_active(
         }
 
         // ---- AG retry recovery (fault mode) ----
-        let reissued = robust.poll_ag_retries(now, units, dram)?;
+        let reissued = f.poll_ag_retries(now)?;
         progress += reissued;
 
         // ---- DRAM ----
@@ -1158,33 +1033,29 @@ fn run_active(
         // plus completion cycles reproduces the dense loop's every-cycle
         // tick exactly (idle ticks are no-ops).
         if stepped_any || reissued > 0 || dram_next == Some(now) {
-            responses.clear();
-            dram.tick(now, &mut responses);
-            if let Some(p) = prof.as_mut() {
-                p.observe_dram(now, dram.stats());
-            }
-            if let Some(inj) = robust.inj.as_mut() {
+            f.tick_drams(now, &mut responses);
+            if let Some(inj) = f.robust.inj.as_mut() {
                 inj.filter_responses(now, &mut responses);
             }
             for r in &responses {
                 let ui = (r.id >> 32) as usize;
-                if deliver_response(now, r, units, robust, &mut progress)? {
+                if deliver_response(now, r, &mut f.units, &mut f.robust, &mut progress)? {
                     events.push(now + 1, ui);
                 }
             }
-            dram_next = dram.next_completion_time();
+            dram_next = f.drams.iter().filter_map(DramSim::next_completion_time).min();
         }
         // Fault-delayed responses re-deliver on their own schedule, DRAM
         // tick or not (their deadline is folded into `target`).
-        let due = robust.inj.as_mut().map(|i| i.due_responses(now)).unwrap_or_default();
+        let due = f.robust.inj.as_mut().map(|i| i.due_responses(now)).unwrap_or_default();
         for r in due {
             let ui = (r.id >> 32) as usize;
-            if deliver_response(now, &r, units, robust, &mut progress)? {
+            if deliver_response(now, &r, &mut f.units, &mut f.robust, &mut progress)? {
                 events.push(now + 1, ui);
             }
         }
 
-        robust.sanitize_cycle(now, streams, units, dram)?;
+        f.sanitize_cycle(now)?;
         if progress > 0 {
             last_progress_cycle = now;
         }
@@ -1193,126 +1064,16 @@ fn run_active(
         // cycles, so checking here matches the dense per-cycle check.
         // (`finished` requires every VCU done, so the O(1) `undone` guard
         // skips the full scan until the endgame.)
-        if undone == 0 && finished(units, dram, streams, must_drain) {
+        if undone == 0 && f.finished() {
             return Ok(now);
         }
         if now - last_progress_cycle > cfg.deadlock_window {
             let live = dram_next.is_some()
-                || robust.inj.as_ref().map(|i| i.pending(now)).unwrap_or(false)
-                || robust.next_retry_deadline(units).is_some();
+                || f.robust.inj.as_ref().is_some_and(|i| i.pending(now))
+                || f.robust.next_retry_deadline(&f.units).is_some();
             if !live {
-                return Err(deadlock_error(g, units, streams, now, now - last_progress_cycle));
+                return Err(f.deadlock(now, now - last_progress_cycle));
             }
-        }
-
-        // ---- epoch-batched firing ----
-        //
-        // When exactly one unit ran this cycle, its producers are all
-        // lower-indexed (so every wake it can receive is an explicit heap
-        // event), and DRAM is idle, the only thing the next event-queue
-        // rounds would do is re-step this same unit cycle after cycle.
-        // Fast-forward it in a tight loop instead, advancing the clock one
-        // cycle per iteration and stopping the moment anything else comes
-        // due. Every iteration performs exactly the work the full round
-        // would (tick inputs, step, compute wakes, completion check), so
-        // cycle counts and results are bit-identical.
-        if batch_ok && stepped_count == 1 && fast_ok[sole] && !dram.busy() {
-            let u = sole;
-            let mut t = now;
-            loop {
-                // Consume u's self-wake at t+1. Duplicates collapse; a
-                // missing self-wake means u made no observable change.
-                // All events are > t here (the previous iteration verified
-                // nothing else was due at t+1 before advancing), so the
-                // window may slide to t.
-                events.advance(t);
-                let mut self_wake = false;
-                let mut blocked = false;
-                if events.next_time() == Some(t + 1) {
-                    let slot = ((t + 1) % WHEEL) as usize;
-                    let b = &mut events.buckets[slot];
-                    if b.iter().all(|&e| e as usize == u) {
-                        self_wake = true;
-                        b.clear();
-                        events.mask &= !(1 << slot);
-                    } else {
-                        // Another unit's wake shares the cycle: hand back
-                        // to the full loop with the bucket (including u's
-                        // self-wake, if present) untouched.
-                        blocked = true;
-                    }
-                }
-                if blocked || !self_wake {
-                    break;
-                }
-                if t + 1 > cfg.max_cycles {
-                    events.push(t + 1, u);
-                    break;
-                }
-                t += 1;
-                for &s in &unit_inputs[u] {
-                    streams[s].tick(t);
-                }
-                let mut mini_progress: u64 = 0;
-                let was_done =
-                    matches!(units.kind[u], UKind::Vcu(k) if units.vcus[k as usize].done);
-                step_unit(units, u, t, streams, arena, &mut mini_progress, dram, image)?;
-                if let UKind::Vcu(k) = units.kind[u] {
-                    let v = &units.vcus[k as usize];
-                    if v.done && !was_done {
-                        undone -= 1;
-                    }
-                    if let Some(sid) = v.stall_stream {
-                        stall_seen[u] = match v.stall_class {
-                            StallClass::OutputSpace => streams[sid.index()].freed,
-                            _ => streams[sid.index()].arrived,
-                        };
-                    }
-                }
-                let mut changed = mini_progress > 0;
-                for &s in &unit_outputs[u] {
-                    if streams[s].pushed != seen_pushed[s] {
-                        seen_pushed[s] = streams[s].pushed;
-                        changed = true;
-                        let dst = dst_of[s];
-                        if !units.vcu(dst).is_some_and(|v| v.done) {
-                            events.push(t + lat_of[s], dst);
-                        }
-                    }
-                }
-                for &s in &unit_inputs[u] {
-                    if streams[s].pushed != seen_pushed[s] {
-                        seen_pushed[s] = streams[s].pushed;
-                        changed = true;
-                        events.push(t + lat_of[s], dst_of[s]);
-                    }
-                    if streams[s].freed != seen_freed[s] {
-                        seen_freed[s] = streams[s].freed;
-                        changed = true;
-                        // `fast_ok` guarantees src < u: a next-cycle wake,
-                        // exactly as the full scan would schedule it.
-                        let src = src_of[s];
-                        if !units.vcu(src).is_some_and(|v| v.done) {
-                            events.push(t + 1, src);
-                        }
-                    }
-                }
-                if changed {
-                    last_progress_cycle = t;
-                    let suppress =
-                        units.vcu(u).is_some_and(|v| v.done || v.stall_class != StallClass::None);
-                    if !suppress {
-                        events.push(t + 1, u);
-                    }
-                }
-                if undone == 0 && finished(units, dram, streams, must_drain) {
-                    return Ok(t);
-                }
-                if !changed {
-                    break;
-                }
-            }
-            now = t;
         }
         prev_now = now;
     }

@@ -17,6 +17,7 @@
 
 pub mod engine;
 pub mod fault;
+mod link;
 pub mod multichip;
 pub mod packet;
 pub mod profile;

@@ -3,59 +3,35 @@
 //! credit-based inter-chip link model.
 //!
 //! The simulated graph is the *original* compiled VUDFG — the shard plan
-//! only assigns each unit a chip. On-chip behavior is exactly the
-//! single-chip engine's: the same steppers, the same streams, the same
-//! index-order dense schedule. What changes at a chip boundary:
+//! only assigns each unit a chip. The run goes through the same setup and
+//! the same two schedulers as one chip ([`crate::engine`]), so
+//! [`SimConfig::dense`] selects the dense reference or the active list
+//! exactly as for [`simulate`]. What changes at a chip boundary:
 //!
-//! * **DRAM** — each chip owns a [`DramSim`]; a unit's requests go to
-//!   its own chip's controller, so memory bandwidth scales with chip
-//!   count. All controllers back one shared word image (a partitioned-
-//!   bandwidth shared-address-space model — remote rows cost link
-//!   traffic only through the streams that carry them, a deliberate
+//! * **DRAM** — each chip owns a [`ramulator_lite::DramSim`]; a unit's
+//!   requests go to its own chip's controller, so memory bandwidth scales
+//!   with chip count. All controllers back one shared word image (a
+//!   partitioned-bandwidth shared-address-space model — remote rows cost
+//!   link traffic only through the streams that carry them, a deliberate
 //!   simplification documented in DESIGN.md).
-//! * **Links** — a stream whose endpoints sit on different chips (a
-//!   *crossing*; `sara-pnr` already gave it `hops × link.latency` wire
-//!   latency and at least `link.fifo_depth` slots) shares each directed
-//!   physical link on its X-then-Y route with every other crossing. At
-//!   most [`LinkSpec::bandwidth`] packets enter a link per cycle; excess
-//!   packets slip cycle by cycle, modeled by extending the in-flight
-//!   delay of the just-pushed packet (head-of-line blocking preserves
-//!   FIFO order, so token/credit semantics are untouched).
+//! * **Links** — crossing streams share the directed physical links of
+//!   their routes under a per-link bandwidth limit (see [`crate::link`]).
+//!   A packet that slips is held in flight, and the active scheduler
+//!   wakes its consumer at the delayed delivery cycle.
 //!
-//! The loop is the dense reference schedule regardless of
-//! [`SimConfig::dense`] (the active-list scheduler's wake reasoning does
-//! not know about link slip); `batch` is likewise ignored. Fault
-//! injection is rejected — the fault plan addresses single-chip state.
-//! The sanitizer and profiler work as on one chip, with DRAM checks run
-//! per controller and DRAM statistics summed.
+//! Fault injection is rejected — the fault plan addresses single-chip
+//! state. The sanitizer and profiler work as on one chip, with DRAM
+//! checks run per controller and DRAM statistics summed.
 //!
 //! A 1-chip system delegates to [`simulate`] outright, so the
 //! single-chip path — and its golden cycle counts — is untouched by
 //! construction.
 
-use crate::engine::{
-    build_image, build_must_drain, build_streams, build_units, collect_outcome, deadlock_error,
-    deliver_response, simulate, step_unit, Robust, SimConfig, SimError, SimOutcome,
-};
-use crate::packet::PacketArena;
-use crate::profile::Profiler;
-use crate::sanitize::Sanitizer;
-use crate::stream::StreamRt;
-use crate::units::{UKind, Units};
+use crate::engine::{run, simulate, SimConfig, SimError, SimOutcome};
+use crate::link::Links;
 use plasticine_arch::SystemSpec;
-use ramulator_lite::{DramSim, DramStats, Response};
 use sara_core::shard::ShardPlan;
 use sara_core::vudfg::Vudfg;
-use std::collections::HashMap;
-
-/// How often (in cycles) the link-usage calendars drop entries older
-/// than the current cycle.
-const LINK_PRUNE_PERIOD: u64 = 4096;
-
-/// Per-directed-link traversal calendar: cycle → packets granted entry.
-/// Lazily populated; pruned behind the clock so memory stays bounded by
-/// link backlog, not run length.
-type LinkUsage = HashMap<u64, u32>;
 
 /// Simulate a compiled, system-placed VUDFG on every chip of `system`
 /// under one global clock.
@@ -100,212 +76,18 @@ pub fn simulate_system(
             ),
         });
     }
-
-    let mut streams = build_streams(g);
-    let mut image = build_image(g);
-    let mut drams: Vec<DramSim> = (0..system.count)
-        .map(|_| match &cfg.dram_override {
-            Some(c) => DramSim::with_cfg(c.clone()),
-            None => DramSim::new(system.chip.dram),
-        })
-        .collect();
-    let mut units = build_units(g);
-    let mut arena = PacketArena::new();
-    let must_drain = build_must_drain(g);
-
-    // Crossing streams, grouped by producer unit: after a unit's step,
-    // only its own crossing outputs can have gained packets. Each entry
-    // carries the directed physical links of the X-then-Y route.
-    let mut crossing_out: Vec<Vec<(usize, Vec<u64>)>> = vec![Vec::new(); g.units.len()];
-    for &sid in &plan.crossings {
-        let s = g.stream(sid);
-        let (src, dst) = (s.src.index(), s.dst.index());
-        let route: Vec<u64> = system
-            .route_links(plan.chip_of[src], plan.chip_of[dst])
-            .into_iter()
-            .map(|(a, b)| (u64::from(a) << 32) | u64::from(b))
-            .collect();
-        if !route.is_empty() {
-            crossing_out[src].push((sid.index(), route));
-        }
-    }
-    let mut link_usage: HashMap<u64, LinkUsage> = HashMap::new();
-    let link_bw = system.link.bandwidth.max(1);
-    let leg_latency = u64::from(system.link.latency.max(1));
-    // Last observed push counter per stream, to spot the packets a step
-    // just produced (only consulted for crossing streams).
-    let mut seen_pushed: Vec<u64> = streams.iter().map(|s| s.pushed).collect();
-
-    let mut robust = Robust {
-        inj: None,
-        san: cfg.sanitize.then(|| Sanitizer::new(g)),
-        retry_timeout: cfg.dram_retry_timeout,
-        max_retries: cfg.dram_max_retries,
-    };
-    let mut prof = cfg.profile.then(|| Profiler::new(g, &streams, cfg.profile_epoch));
-
-    let n = units.len();
-    let mut now: u64 = 0;
-    let mut last_progress_cycle: u64 = 0;
-    let mut responses: Vec<Response> = Vec::new();
-    let final_cycle = loop {
-        now += 1;
-        if now > cfg.max_cycles {
-            return Err(SimError::Timeout { cycle: now });
-        }
-        for s in streams.iter_mut() {
-            s.tick(now);
-        }
-        let mut progress: u64 = 0;
-        for (i, crossings) in crossing_out.iter().enumerate().take(n) {
-            let before = progress;
-            let chip = plan.chip_of[i] as usize;
-            step_unit(
-                &mut units,
-                i,
-                now,
-                &mut streams,
-                &mut arena,
-                &mut progress,
-                &mut drams[chip],
-                &mut image,
-            )?;
-            // Link regulator: every packet this step pushed onto a
-            // crossing stream claims a bandwidth slot on each link of
-            // its route, oldest first; slots it cannot get slip its
-            // delivery by the wait.
-            for (si, route) in crossings {
-                let fresh = (streams[*si].pushed - seen_pushed[*si]) as usize;
-                for back in (0..fresh).rev() {
-                    let extra = claim_route(&mut link_usage, route, now + 1, link_bw, leg_latency);
-                    if extra > 0 {
-                        streams[*si].fault_delay_in_flight(back, extra);
-                    }
-                }
-                seen_pushed[*si] = streams[*si].pushed;
-            }
-            if let Some(p) = prof.as_mut() {
-                if let UKind::Vcu(k) = units.kind[i] {
-                    p.observe_vcu(i, now, &units.vcus[k as usize], progress > before);
-                }
-                p.observe_unit_streams(i, now, &streams);
-            }
-        }
-        for d in drams.iter_mut() {
-            responses.clear();
-            d.tick(now, &mut responses);
-            for r in &responses {
-                deliver_response(now, r, &mut units, &mut robust, &mut progress)?;
-            }
-        }
-        if let Some(p) = prof.as_mut() {
-            p.observe_dram(now, sum_dram_stats(&drams));
-        }
-        sanitize_cycle(&mut robust, now, &streams, &units, &drams)?;
-        if progress > 0 {
-            last_progress_cycle = now;
-        }
-        if finished(&units, &drams, &streams, &must_drain) {
-            break now;
-        }
-        if now - last_progress_cycle > cfg.deadlock_window {
-            // Slow-but-live is not deadlock: an outstanding DRAM
-            // completion on any chip still bumps progress when it lands.
-            if !drams.iter().any(|d| d.busy()) {
-                return Err(deadlock_error(g, &units, &streams, now, now - last_progress_cycle));
-            }
-        }
-        if now.is_multiple_of(LINK_PRUNE_PERIOD) {
-            for cal in link_usage.values_mut() {
-                cal.retain(|&cycle, _| cycle >= now);
-            }
-        }
-    };
-
-    let profile = prof.map(|p| p.finish(final_cycle, &streams));
-    Ok(collect_outcome(g, final_cycle, &image, &units, sum_dram_stats(&drams), profile))
-}
-
-/// Walk a route's links in order, claiming one bandwidth slot per link
-/// at the earliest cycle with capacity at or after the packet's arrival
-/// there. Returns the total contention slip in cycles (0 when every
-/// link had a free slot on time).
-fn claim_route(
-    usage: &mut HashMap<u64, LinkUsage>,
-    route: &[u64],
-    first_entry: u64,
-    bandwidth: u32,
-    leg_latency: u64,
-) -> u64 {
-    let mut entry = first_entry;
-    let mut slip = 0u64;
-    for &link in route {
-        let cal = usage.entry(link).or_default();
-        let mut at = entry;
-        loop {
-            let used = cal.entry(at).or_insert(0);
-            if *used < bandwidth {
-                *used += 1;
-                break;
-            }
-            at += 1;
-        }
-        slip += at - entry;
-        entry = at + leg_latency;
-    }
-    slip
-}
-
-/// Per-chip sum of the DRAM controllers' statistics.
-fn sum_dram_stats(drams: &[DramSim]) -> DramStats {
-    let mut agg = DramStats::default();
-    for d in drams {
-        let s = d.stats();
-        agg.read_bytes += s.read_bytes;
-        agg.write_bytes += s.write_bytes;
-        agg.requests += s.requests;
-        agg.row_hits += s.row_hits;
-        agg.row_misses += s.row_misses;
-    }
-    agg
-}
-
-/// End-of-cycle sanitizer pass: stream and VMU invariants as on one
-/// chip, the DRAM-side checks once per controller.
-fn sanitize_cycle(
-    robust: &mut Robust,
-    now: u64,
-    streams: &[StreamRt],
-    units: &Units,
-    drams: &[DramSim],
-) -> Result<(), SimError> {
-    let Some(san) = robust.san.as_mut() else { return Ok(()) };
-    san.check_streams(now, streams).map_err(SimError::Sanitizer)?;
-    for v in &units.vmus {
-        san.check_vmu(now, v).map_err(SimError::Sanitizer)?;
-    }
-    for d in drams {
-        san.check_dram(now, d).map_err(SimError::Sanitizer)?;
-    }
-    Ok(())
-}
-
-/// Completion test: all compute done, all AGs drained, every chip's
-/// DRAM idle, and every must-drain stream empty (up to trailing
-/// markers).
-fn finished(units: &Units, drams: &[DramSim], streams: &[StreamRt], must_drain: &[bool]) -> bool {
-    let all_done = units.vcus.iter().all(|v| v.done) && units.ags.iter().all(|a| a.idle());
-    all_done
-        && !drams.iter().any(|d| d.busy())
-        && streams.iter().zip(must_drain).all(|(s, d)| !*d || s.is_drained())
+    let links = Links::new(g, system, plan);
+    run(g, cfg, system.chip.dram, system.count as usize, plan.chip_of.clone(), Some(links))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::claim_route;
     use plasticine_arch::ChipSpec;
     use sara_core::compile::compile;
     use sara_pnr::place_and_route_system;
+    use std::collections::HashMap;
 
     /// A hand-rolled plan splitting the graph in half by unit index.
     /// The planner itself keeps designs that fit one chip whole, so the

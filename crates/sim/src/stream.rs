@@ -29,14 +29,8 @@ pub struct StreamRt {
     /// Epoch markers discarded by [`StreamRt::skip_markers_and_peek`]
     /// without being counted as pops.
     pub skipped: u64,
-    /// Monotonic count of packets that became consumer-visible (moved
-    /// into the receive FIFO by [`StreamRt::tick`]). The active scheduler
-    /// compares this against a stalled consumer's snapshot to prove its
-    /// input-starved wait-set cannot have changed.
-    pub arrived: u64,
-    /// Monotonic count of slots released (pops plus marker skips). The
-    /// producer-visible dual of `arrived`: proves a backpressured
-    /// producer's wait-set cannot have changed.
+    /// Monotonic count of slots released (pops plus marker skips): the
+    /// active scheduler wakes the producer when it moves.
     pub freed: u64,
     /// Delivery cycle of the oldest in-flight packet (`u64::MAX` when
     /// nothing is in flight) — lets [`StreamRt::tick`] early-out on a
@@ -65,7 +59,6 @@ impl StreamRt {
             pushed: 0,
             popped: 0,
             skipped: 0,
-            arrived: 0,
             freed: 0,
             next_arrival: u64::MAX,
         }
@@ -100,7 +93,6 @@ impl StreamRt {
             if t <= now {
                 self.arriving.pop_front();
                 self.q.push_back(p);
-                self.arrived += 1;
             } else {
                 break;
             }
@@ -164,7 +156,8 @@ impl StreamRt {
 
     // ----------------------------------------------------- fault hooks
     //
-    // Used only by the fault injector. They mutate stream state *without*
+    // Used by the fault injector (the delay also by the inter-chip link
+    // regulator, for slip). They mutate stream state *without*
     // touching the push/pop/skip counters: the faults model hardware
     // misbehaving outside the protocol, which is exactly what the
     // sanitizer's conservation check is designed to catch.

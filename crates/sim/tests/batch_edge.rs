@@ -1,10 +1,9 @@
-//! Edge cases for epoch-batched firing (`SimConfig::batch`): the batching
-//! shortcuts (precise stall-wake filtering, parked pure-stream units,
-//! single-unit fast-forward) must be observationally invisible. Each case
-//! runs with batching on, batching off, and under the dense reference
-//! scheduler, and all three must agree bit-for-bit — including the typed
-//! failure reports when faults or the sanitizer are in play, since those
-//! modes bypass batching internally.
+//! Scheduler edge cases: wake-inference corner cases (zero and partial
+//! dynamic trip counts, strictly alternating depth-1 multibuffers) where
+//! a missed or misplaced wake would show. Each case runs under the
+//! active-list scheduler and the dense reference, and both must agree
+//! bit-for-bit — including the typed failure reports when faults or the
+//! sanitizer are in play.
 
 use plasticine_arch::ChipSpec;
 use plasticine_sim::{simulate, FaultKind, FaultPlan, SimConfig, SimError, SimOutcome};
@@ -22,26 +21,22 @@ fn build(p: &Program, opts: &CompilerOptions) -> (Vudfg, ChipSpec) {
     (c.vudfg, chip)
 }
 
-/// Simulate with batching on, batching off, and dense; assert all three
-/// outcomes are bit-identical and return the batched one.
+/// Simulate with the active and the dense scheduler; assert both
+/// outcomes are bit-identical and return the active one.
 fn run_all_schedulers(g: &Vudfg, chip: &ChipSpec) -> SimOutcome {
-    let batched = simulate(g, chip, &SimConfig::default()).expect("batched sim");
-    let unbatched = simulate(g, chip, &SimConfig { batch: false, ..SimConfig::default() })
-        .expect("unbatched sim");
+    let active = simulate(g, chip, &SimConfig::default()).expect("active sim");
     let dense = simulate(g, chip, &SimConfig::dense()).expect("dense sim");
-    for (name, o) in [("unbatched", &unbatched), ("dense", &dense)] {
-        assert_eq!(batched.cycles, o.cycles, "{name}: cycle divergence");
-        assert_eq!(batched.stats.firings, o.stats.firings, "{name}: total firings");
-        assert_eq!(batched.stats.unit_firings, o.stats.unit_firings, "{name}: per-unit firings");
-        assert_eq!(batched.stats.dram, o.stats.dram, "{name}: dram stats");
-        assert_eq!(batched.dram_final, o.dram_final, "{name}: dram image");
-    }
-    batched
+    assert_eq!(active.cycles, dense.cycles, "dense: cycle divergence");
+    assert_eq!(active.stats.firings, dense.stats.firings, "dense: total firings");
+    assert_eq!(active.stats.unit_firings, dense.stats.unit_firings, "dense: per-unit firings");
+    assert_eq!(active.stats.dram, dense.stats.dram, "dense: dram stats");
+    assert_eq!(active.dram_final, dense.dram_final, "dense: dram image");
+    active
 }
 
 /// Zero-trip dynamic loop bound: with `n = 0` loaded from a register, the
 /// loop body never fires and every downstream unit sees only markers. The
-/// batching fast-path must neither skip the marker epilogue nor stall on
+/// active scheduler must neither skip the marker epilogue nor stall on
 /// units that will never receive data.
 #[test]
 fn zero_trip_dynamic_loop_batches_identically() {
@@ -69,7 +64,7 @@ fn zero_trip_dynamic_loop_batches_identically() {
 
 /// The live sibling of the zero-trip case: the dynamic bound covers only a
 /// prefix, so the tail of `dst` stays untouched while the prefix flows —
-/// the batched fast-forward must stop exactly where the data stops.
+/// the active scheduler's wakes must stop exactly where the data stops.
 #[test]
 fn partial_trip_dynamic_loop_batches_identically() {
     let mut p = Program::new("batch_partial_trip");
@@ -104,8 +99,8 @@ fn partial_trip_dynamic_loop_batches_identically() {
 
 /// Depth-1 multibuffers at par = 1: with `CmmcOptions::multibuffer = 1`
 /// the producer/consumer stages around every scratchpad run in strict
-/// alternation (no epoch overlap), the worst case for the stall-wake
-/// filter — every wake toggles between the two endpoints of one stream.
+/// alternation (no epoch overlap), the worst case for wake inference —
+/// every wake toggles between the two endpoints of one stream.
 #[test]
 fn depth1_multibuffer_par1_batches_identically() {
     let mut p = Program::new("batch_depth1");
@@ -170,67 +165,54 @@ fn registry_graph(name: &str) -> (Vudfg, ChipSpec) {
     build(&w.program, &CompilerOptions::default())
 }
 
-/// Fault injection disables batching internally, so the `batch` flag must
-/// have zero observable effect on a faulted run: the watchdog's deadlock
-/// diagnosis (cycle, members, attribution) is pinned bit-identical across
-/// batch on/off and the dense scheduler.
+/// Under faults the watchdog's deadlock diagnosis (cycle, members,
+/// attribution) is pinned bit-identical across the active and the dense
+/// scheduler.
 #[test]
 fn watchdog_report_identical_across_batch_flag_under_faults() {
     let (g, chip) = registry_graph("ms");
     let s = credit_stream(&g);
-    let report_with = |batch: bool, dense: bool| {
+    let report_with = |dense: bool| {
         let plan = FaultPlan::empty().with(0, FaultKind::StealCredit { stream: s });
-        let cfg = SimConfig {
-            faults: Some(plan),
-            deadlock_window: 2_000,
-            batch,
-            dense,
-            ..SimConfig::default()
-        };
+        let cfg =
+            SimConfig { faults: Some(plan), deadlock_window: 2_000, dense, ..SimConfig::default() };
         match simulate(&g, &chip, &cfg).unwrap_err() {
             SimError::Deadlock { cycle, report, .. } => (cycle, report),
-            other => panic!("expected watchdog diagnosis (batch={batch}), got {other}"),
+            other => panic!("expected watchdog diagnosis (dense={dense}), got {other}"),
         }
     };
-    let batched = report_with(true, false);
-    assert_eq!(batched, report_with(false, false), "batch flag changed the watchdog report");
-    assert_eq!(batched, report_with(true, true), "dense scheduler diverged from active");
-    assert!(!batched.1.members.is_empty(), "watchdog produced no members");
+    let active = report_with(false);
+    assert_eq!(active, report_with(true), "dense scheduler diverged from active");
+    assert!(!active.1.members.is_empty(), "watchdog produced no members");
 }
 
 /// Same pinning for the invariant sanitizer: a leaked credit must produce
 /// the exact same typed `SanitizerReport` (cycle, invariant, edge, event
-/// ring) whether or not batching is requested, and under dense.
+/// ring) under the active and the dense scheduler.
 #[test]
 fn sanitizer_report_identical_across_batch_flag() {
     let (g, chip) = registry_graph("ms");
     let s = credit_stream(&g);
-    let report_with = |batch: bool, dense: bool| {
+    let report_with = |dense: bool| {
         let plan = FaultPlan::empty().with(5, FaultKind::LeakCredit { stream: s });
-        let cfg =
-            SimConfig { faults: Some(plan), sanitize: true, batch, dense, ..SimConfig::default() };
+        let cfg = SimConfig { faults: Some(plan), sanitize: true, dense, ..SimConfig::default() };
         match simulate(&g, &chip, &cfg).unwrap_err() {
             SimError::Sanitizer(r) => r,
-            other => panic!("expected sanitizer report (batch={batch}), got {other}"),
+            other => panic!("expected sanitizer report (dense={dense}), got {other}"),
         }
     };
-    let batched = report_with(true, false);
-    assert_eq!(batched, report_with(false, false), "batch flag changed the sanitizer report");
-    assert_eq!(batched, report_with(true, true), "dense scheduler diverged from active");
-    assert_eq!(batched.stream, Some(s));
+    let active = report_with(false);
+    assert_eq!(active, report_with(true), "dense scheduler diverged from active");
+    assert_eq!(active.stream, Some(s));
 }
 
-/// A clean sanitizer pass (no faults) also bypasses batching; cycle
-/// counts must match a batched run exactly, proving the bypass itself is
-/// timing-neutral.
+/// A clean sanitizer pass (no faults) only observes: cycle counts and
+/// results must match an unsanitized run exactly.
 #[test]
 fn sanitizer_clean_run_matches_batched_timing() {
     let (g, chip) = registry_graph("kmeans");
-    let plain = simulate(&g, &chip, &SimConfig::default()).expect("batched");
-    for batch in [true, false] {
-        let cfg = SimConfig { sanitize: true, batch, ..SimConfig::default() };
-        let o = simulate(&g, &chip, &cfg).expect("sanitized");
-        assert_eq!(o.cycles, plain.cycles, "sanitize+batch={batch} perturbed timing");
-        assert_eq!(o.dram_final, plain.dram_final);
-    }
+    let plain = simulate(&g, &chip, &SimConfig::default()).expect("plain");
+    let o = simulate(&g, &chip, &SimConfig::sanitized()).expect("sanitized");
+    assert_eq!(o.cycles, plain.cycles, "sanitizer perturbed timing");
+    assert_eq!(o.dram_final, plain.dram_final);
 }
