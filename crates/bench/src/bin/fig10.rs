@@ -13,10 +13,10 @@
 //! baseline — is an independent design point on the sweep pool
 //! (`SARA_BENCH_THREADS`); `SARA_BENCH_SMOKE` shrinks the app set.
 
-use plasticine_arch::ChipSpec;
-use sara_bench::json::Json;
-use sara_bench::{run_profiled, sweep};
+use plasticine_arch::{ChipSpec, SystemSpec};
+use sara_bench::run;
 use sara_core::compile::CompilerOptions;
+use sara_util::{pool, Json};
 
 const VARIANTS: &[&str] = &["reduce", "relax", "retime", "retime-m"];
 
@@ -68,7 +68,7 @@ fn eval(pt: &Pt) -> Result<Out, String> {
     let chip = ChipSpec::sara_20x20();
     let p = program_of(pt.app);
     let tag = format!("fig10-{}-{}", pt.app, pt.variant.unwrap_or("baseline"));
-    let r = run_profiled(&tag, &p, &chip, &opts_of(pt.variant))?;
+    let r = run(&tag, &p, &SystemSpec::single(chip), &opts_of(pt.variant))?;
     eprintln!("{}/{}: {} cycles", pt.app, pt.variant.unwrap_or("baseline"), r.cycles());
     Ok(Out { cycles: r.cycles(), pus: r.pus(), token_streams: r.compiled.report.token_streams })
 }
@@ -85,7 +85,7 @@ fn main() {
         }
     }
 
-    let results = sweep::run_points(&points, eval);
+    let results = pool::run_points(&points, eval);
     let by_pt: Vec<(&Pt, Result<Out, String>)> = points.iter().zip(results).collect();
 
     let mut rows: Vec<Json> = Vec::new();

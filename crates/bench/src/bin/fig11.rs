@@ -13,10 +13,9 @@
 //! The PCU counts (axis a) are unaffected by threading.
 
 use plasticine_arch::ChipSpec;
-use sara_bench::json::Json;
-use sara_bench::sweep;
 use sara_core::compile::{compile, CompilerOptions};
 use sara_core::partition::{Algo, SolverCfg, TraversalOrder};
+use sara_util::{pool, Json};
 use std::time::Instant;
 
 fn algos() -> Vec<(String, Algo)> {
@@ -85,7 +84,7 @@ fn eval(pt: &Pt) -> Result<Out, String> {
 fn main() {
     // Uniform fig/table CLI surface: accept --profile-dir (exit-2 contract
     // on a missing value) even though this figure never simulates — the
-    // flag selects a directory for run_profiled artifacts, and compile-time
+    // flag selects a directory for `sara_bench::run` profile artifacts, and compile-time
     // measurement has none to write.
     sara_bench::cli::parse_profile_dir_flag();
     let mut points: Vec<Pt> = Vec::new();
@@ -94,7 +93,7 @@ fn main() {
             points.push(Pt { app, program: program.clone(), algo_name, algo });
         }
     }
-    let results = sweep::run_points(&points, eval);
+    let results = pool::run_points(&points, eval);
     let ok: Vec<(&Pt, Out)> = points
         .iter()
         .zip(results)

@@ -10,10 +10,10 @@
 //! deterministic regardless of thread count. `SARA_BENCH_SMOKE` shrinks
 //! the sweep to a few seconds for CI.
 
-use plasticine_arch::ChipSpec;
-use sara_bench::json::Json;
-use sara_bench::{run_profiled, sweep, Run};
+use plasticine_arch::{ChipSpec, SystemSpec};
+use sara_bench::{run, Run};
 use sara_core::compile::CompilerOptions;
+use sara_util::{pool, Json};
 use sara_workloads::{graph, linalg, streamk};
 
 /// One design point: a series and its parallelization factors.
@@ -54,7 +54,7 @@ fn eval(pt: &Pt) -> Result<Out, String> {
         // mlp: compute-bound, no batch parallelism; sweep the intra-layer
         // factors (vectorize the reduction, then spatially unroll neurons).
         Pt::Mlp { pi, pn } => {
-            let chip = ChipSpec::sara_20x20();
+            let system = SystemSpec::single(ChipSpec::sara_20x20());
             let (d_in, d_hidden, d_out) = if smoke { (32, 32, 8) } else { (256, 256, 64) };
             let p = linalg::mlp(&linalg::MlpParams {
                 d_in,
@@ -64,17 +64,17 @@ fn eval(pt: &Pt) -> Result<Out, String> {
                 par_neuron: pn,
             });
             let tag = format!("fig9a-mlp-par{}", pi * pn);
-            let r = run_profiled(&tag, &p, &chip, &CompilerOptions::default())?;
+            let r = run(&tag, &p, &system, &CompilerOptions::default())?;
             eprintln!("mlp par {}: {} cycles, {} PUs", pi * pn, r.cycles(), r.pus());
             Ok(out_of("mlp", pi * pn, &r))
         }
         // rf: gather-heavy, saturates DRAM bandwidth before compute.
         Pt::Rf { pn } => {
-            let chip = ChipSpec::sara_20x20();
+            let system = SystemSpec::single(ChipSpec::sara_20x20());
             let (n, trees) = if smoke { (16, 2) } else { (64, 8) };
             let p = graph::rf(&graph::RfParams { n, d: 16, trees, depth: 4, seed: 9, par_n: pn });
             let tag = format!("fig9a-rf-par{pn}");
-            let r = run_profiled(&tag, &p, &chip, &CompilerOptions::default())?;
+            let r = run(&tag, &p, &system, &CompilerOptions::default())?;
             eprintln!("rf par {pn}: {} cycles, {} PUs", r.cycles(), r.pus());
             Ok(out_of("rf", pn, &r))
         }
@@ -83,11 +83,11 @@ fn eval(pt: &Pt) -> Result<Out, String> {
         // DRAM bandwidth approaches the 49 B/cycle DDR3 peak (the paper's
         // memory-bound half of Fig 9a).
         Pt::Q6 { par } => {
-            let chip = ChipSpec::vanilla_16x8();
+            let system = SystemSpec::single(ChipSpec::vanilla_16x8());
             let n = if smoke { 2048 } else { 16384 };
             let p = streamk::tpchq6(&streamk::Q6Params { n, par });
             let tag = format!("fig9a-tpchq6-ddr3-par{par}");
-            let r = run_profiled(&tag, &p, &chip, &CompilerOptions::default())?;
+            let r = run(&tag, &p, &system, &CompilerOptions::default())?;
             eprintln!("tpchq6 par {par}: {} cycles, {} PUs", r.cycles(), r.pus());
             Ok(out_of("tpchq6-ddr3", par, &r))
         }
@@ -109,7 +109,7 @@ fn main() {
     let q6_sweep: &[u32] = if smoke { &[1, 16] } else { &[1, 4, 16, 32, 64, 128] };
     points.extend(q6_sweep.iter().map(|&par| Pt::Q6 { par }));
 
-    let results = sweep::run_points(&points, eval);
+    let results = pool::run_points(&points, eval);
 
     // Results come back in sweep order, so the first successful point of
     // each series is its speedup baseline, exactly as in the sequential

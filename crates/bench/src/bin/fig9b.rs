@@ -6,11 +6,11 @@
 //! All configurations are independent and run concurrently on the sweep
 //! pool (`SARA_BENCH_THREADS`); `SARA_BENCH_SMOKE` shrinks the sweep.
 
-use plasticine_arch::ChipSpec;
-use sara_bench::json::Json;
-use sara_bench::{run_profiled, sweep};
+use plasticine_arch::{ChipSpec, SystemSpec};
+use sara_bench::run;
 use sara_core::compile::CompilerOptions;
 use sara_core::opt::OptConfig;
+use sara_util::{pool, Json};
 use sara_workloads::{linalg, ml};
 
 const OPT_SETS: &[&str] = &["all", "none", "no-retime"];
@@ -59,7 +59,7 @@ fn eval(pt: &Pt) -> Result<Out, String> {
         other => return Err(format!("unknown app {other}")),
     };
     let tag = format!("fig9b-{}-p{}x{}-{}", pt.app, pt.pi, pt.pn, pt.opts);
-    let r = run_profiled(&tag, &p, &chip, &opts_of(pt.opts))?;
+    let r = run(&tag, &p, &SystemSpec::single(chip), &opts_of(pt.opts))?;
     eprintln!(
         "{} par {} {}: {} cycles {} PUs",
         pt.app,
@@ -95,7 +95,7 @@ fn main() {
         }
     }
 
-    let results = sweep::run_points(&points, eval);
+    let results = pool::run_points(&points, eval);
     let ok: Vec<(&Pt, Out)> = points
         .iter()
         .zip(results)

@@ -16,9 +16,9 @@
 //! workloads must beat their 1-chip baseline at the largest chip count.
 
 use plasticine_arch::{ChipSpec, SystemSpec};
-use sara_bench::json::Json;
-use sara_bench::{run_system, sweep, Run};
+use sara_bench::{run, Run};
 use sara_dse::knobs::KnobConfig;
+use sara_util::{pool, Json};
 
 /// Workloads whose dominant loop parallelizes with no (or thin)
 /// cross-iteration traffic — the floor the scale-out gate enforces.
@@ -58,10 +58,9 @@ fn scaled_knobs(knobs: &KnobConfig, chips: u32, lanes: u32) -> (KnobConfig, u32)
     (k, par)
 }
 
-fn run_point(knobs: &KnobConfig, system: &SystemSpec) -> Result<(Run, usize, f64), String> {
-    let p = knobs.build_program()?;
-    let (r, plan) = run_system(&p, system, &knobs.compiler_options())?;
-    Ok((r, plan.crossings.len(), plan.cut_traffic))
+fn run_point(knobs: &KnobConfig, system: &SystemSpec) -> Result<Run, String> {
+    let tag = format!("multichip-{}-x{}", knobs.workload, system.count);
+    run(&tag, &knobs.build_program()?, system, &knobs.compiler_options())
 }
 
 fn eval(pt: &Pt) -> Result<Out, String> {
@@ -82,21 +81,21 @@ fn eval(pt: &Pt) -> Result<Out, String> {
         Err(_) if par > 1 => (run_point(&base, &system)?, 1, true),
         Err(e) => return Err(e),
     };
-    let (run, crossings, cut_traffic) = r;
+    let crossings = r.plan.crossings.len();
     eprintln!(
         "{} x{} par {par}: {} cycles, {} crossings",
         pt.workload,
         pt.chips,
-        run.cycles(),
+        r.cycles(),
         crossings
     );
     Ok(Out {
         workload: pt.workload,
         chips: pt.chips,
         par,
-        cycles: run.cycles(),
+        cycles: r.cycles(),
         crossings,
-        cut_traffic,
+        cut_traffic: r.plan.cut_traffic,
         fell_back,
     })
 }
@@ -114,7 +113,7 @@ fn main() {
         .flat_map(|&w| counts.iter().map(move |&c| Pt { workload: w, chips: c }))
         .collect();
 
-    let results = sweep::run_points(&points, eval);
+    let results = pool::run_points(&points, eval);
 
     let mut rows: Vec<Json> = Vec::new();
     let mut base: std::collections::HashMap<&str, u64> = std::collections::HashMap::new();

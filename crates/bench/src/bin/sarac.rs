@@ -62,7 +62,7 @@
 
 use plasticine_arch::{ChipSpec, SystemSpec};
 use plasticine_sim::{simulate, simulate_system, FaultPlan, SimConfig};
-use sara_bench::{cli, sweep};
+use sara_bench::cli;
 use sara_core::compile::{compile, CompilerOptions};
 use sara_core::vudfg::{StreamKind, UnitKind, Vudfg};
 use std::fmt::Write as _;
@@ -106,7 +106,7 @@ fn dot_of(g: &Vudfg) -> String {
 /// simulation) in parallel, one summary line per workload.
 fn sweep_all(chip: &ChipSpec, do_sim: bool) -> ! {
     let names: Vec<&'static str> = sara_workloads::all_small().iter().map(|w| w.name).collect();
-    let results = sweep::run_points(&names, |name| {
+    let results = sara_util::pool::run_points(&names, |name| {
         let w = sara_workloads::by_name(name).ok_or("unknown workload")?;
         let mut compiled =
             compile(&w.program, chip, &CompilerOptions::default()).map_err(|e| e.to_string())?;
@@ -420,6 +420,7 @@ fn main() {
         }
         chip = sys.chip.clone();
     }
+    let system = system.unwrap_or_else(|| SystemSpec::single(chip.clone()));
     if do_server {
         run_server(socket);
     }
@@ -469,9 +470,9 @@ fn main() {
         eprintln!("unknown workload {name}");
         std::process::exit(2);
     };
-    // In replay mode the artifact dictates the program knobs, chip,
+    // In replay mode the artifact dictates the program knobs, system,
     // compiler options, and PnR seed; the defaults apply otherwise.
-    let (program, chip, options, pnr_seed) = match &replay {
+    let (program, system, options, pnr_seed) = match &replay {
         Some(k) => {
             let p = k.build_program().unwrap_or_else(|e| {
                 eprintln!("error: {e}");
@@ -485,17 +486,13 @@ fn main() {
                 std::process::exit(1);
             });
             println!("knobs: replaying {} on {} (pnr seed {})", k.key(), k.chip, k.pnr_seed);
-            let c = sys.chip.clone();
-            if sys.count > 1 {
-                system = Some(sys);
-            }
-            (p, c, k.compiler_options(), k.pnr_seed)
+            (p, sys, k.compiler_options(), k.pnr_seed)
         }
-        None => (w.program.clone(), chip, CompilerOptions::default(), 42),
+        None => (w.program.clone(), system, CompilerOptions::default(), 42),
     };
     println!("== {} ({}) ==", w.name, w.domain);
     println!("{}", program.pretty());
-    let mut compiled = match compile(&program, &chip, &options) {
+    let mut compiled = match compile(&program, &system.chip, &options) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("compile error: {e}");
@@ -517,49 +514,35 @@ fn main() {
         compiled.report.streams,
         compiled.report.token_streams
     );
-    // Multi-chip systems shard the graph and place every chip; the plan
-    // is kept for the linked simulation below.
-    let mut plan: Option<sara_core::shard::ShardPlan> = None;
-    match &system {
-        Some(sys) if sys.count > 1 => {
-            let r = sara_pnr::place_and_route_system(
-                &mut compiled.vudfg,
-                &compiled.assignment,
-                sys,
-                pnr_seed,
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("pnr error: {e}");
-                std::process::exit(1);
-            });
-            let used: std::collections::HashSet<u32> = r.plan.chip_of.iter().copied().collect();
-            println!(
-                "shard: {} of {} chips used, {} crossings, cut traffic {:.1}",
-                used.len(),
-                sys.count,
-                r.plan.crossings.len(),
-                r.plan.cut_traffic
-            );
-            println!(
-                "pnr:   wirelength {} over {} chips",
-                r.chips.iter().map(|c| c.wirelength).sum::<u64>(),
-                r.chips.len()
-            );
-            plan = Some(r.plan);
-        }
-        _ => {
-            let pnr = sara_pnr::place_and_route(
-                &mut compiled.vudfg,
-                &compiled.assignment,
-                &chip,
-                pnr_seed,
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("pnr error: {e}");
-                std::process::exit(1);
-            });
-            println!("pnr:   wirelength {}, max link use {}", pnr.wirelength, pnr.max_link_use);
-        }
+    // A multi-chip system shards the graph and places every chip; the
+    // plan drives the (linked, if multi-chip) simulation below.
+    let pnr = sara_pnr::place_and_route_system(
+        &mut compiled.vudfg,
+        &compiled.assignment,
+        &system,
+        pnr_seed,
+    )
+    .unwrap_or_else(|e| {
+        eprintln!("pnr error: {e}");
+        std::process::exit(1);
+    });
+    if system.count > 1 {
+        let used: std::collections::HashSet<u32> = pnr.plan.chip_of.iter().copied().collect();
+        println!(
+            "shard: {} of {} chips used, {} crossings, cut traffic {:.1}",
+            used.len(),
+            system.count,
+            pnr.plan.crossings.len(),
+            pnr.plan.cut_traffic
+        );
+        println!(
+            "pnr:   wirelength {} over {} chips",
+            pnr.chips.iter().map(|c| c.wirelength).sum::<u64>(),
+            pnr.chips.len()
+        );
+    } else {
+        let r = &pnr.chips[0];
+        println!("pnr:   wirelength {}, max link use {}", r.wirelength, r.max_link_use);
     }
     if let Some(f) = dot_file {
         if let Err(e) = std::fs::write(&f, dot_of(&compiled.vudfg)) {
@@ -584,11 +567,7 @@ fn main() {
             println!("faults: {} fault(s) armed from {f}", plan.faults.len());
             cfg.faults = Some(plan);
         }
-        let outcome = match (&system, &plan) {
-            (Some(sys), Some(p)) => simulate_system(&compiled.vudfg, sys, p, &cfg),
-            _ => simulate(&compiled.vudfg, &chip, &cfg),
-        };
-        match outcome {
+        match simulate_system(&compiled.vudfg, &system, &pnr.plan, &cfg) {
             Ok(o) => {
                 println!(
                     "sim:   {} cycles, {:.2} flop/cycle, dram {:.1} B/cycle",

@@ -7,10 +7,10 @@
 //! Each app's SARA run and PC run are separate design points on the sweep
 //! pool (`SARA_BENCH_THREADS`); `SARA_BENCH_SMOKE` shrinks the inputs.
 
-use plasticine_arch::ChipSpec;
-use sara_bench::json::Json;
-use sara_bench::{geomean, run_pc, run_profiled, sweep};
+use plasticine_arch::{ChipSpec, SystemSpec};
+use sara_bench::{geomean, run, run_pc};
 use sara_core::compile::CompilerOptions;
+use sara_util::{pool, Json};
 
 fn apps() -> Vec<(&'static str, sara_ir::Program)> {
     use sara_workloads::{linalg, ml, streamk};
@@ -49,12 +49,12 @@ struct Out {
 }
 
 fn eval(pt: &Pt) -> Result<Out, String> {
-    let chip = ChipSpec::vanilla_16x8();
+    let system = SystemSpec::single(ChipSpec::vanilla_16x8());
     let r = if pt.pc {
-        run_pc(&pt.program, &chip)?
+        run_pc(&pt.program, &system.chip)?
     } else {
         let tag = format!("table5-{}", pt.app);
-        run_profiled(&tag, &pt.program, &chip, &CompilerOptions::default())?
+        run(&tag, &pt.program, &system, &CompilerOptions::default())?
     };
     eprintln!("{} {}: {} cycles", pt.app, if pt.pc { "pc" } else { "sara" }, r.cycles());
     Ok(Out {
@@ -71,7 +71,7 @@ fn main() {
         points.push(Pt { app, program: program.clone(), pc: false });
         points.push(Pt { app, program, pc: true });
     }
-    let results = sweep::run_points(&points, eval);
+    let results = pool::run_points(&points, eval);
     let ok: Vec<(&Pt, Out)> = points
         .iter()
         .zip(results)

@@ -9,11 +9,11 @@
 //! Apps run concurrently on the sweep pool (`SARA_BENCH_THREADS`);
 //! `SARA_BENCH_SMOKE` shrinks the app set.
 
-use plasticine_arch::ChipSpec;
+use plasticine_arch::{ChipSpec, SystemSpec};
 use sara_baselines::gpu::{estimate, launches_of, GpuClass, V100};
-use sara_bench::json::Json;
-use sara_bench::{geomean, run_profiled, sweep};
+use sara_bench::{geomean, run};
 use sara_core::compile::CompilerOptions;
+use sara_util::{pool, Json};
 
 fn apps() -> Vec<(&'static str, sara_ir::Program)> {
     use sara_workloads::{cnn, graph, ml, sort, streamk};
@@ -51,14 +51,15 @@ struct Out {
 }
 
 fn eval(pt: &Pt) -> Result<Out, String> {
-    let chip = ChipSpec::sara_20x20();
+    let system = SystemSpec::single(ChipSpec::sara_20x20());
+    let chip = &system.chip;
     let v100 = V100::default();
     let tag = format!("table6-{}", pt.app);
-    let sara = run_profiled(&tag, &pt.program, &chip, &CompilerOptions::default())?;
+    let sara = run(&tag, &pt.program, &system, &CompilerOptions::default())?;
     let class = GpuClass::of_workload(pt.app);
     let launches = launches_of(pt.app, &sara.interp);
     let gpu = estimate(&v100, class, &sara.interp, launches);
-    let sara_s = sara.seconds(&chip);
+    let sara_s = sara.seconds(chip);
     let speedup = gpu.seconds / sara_s;
     eprintln!("{}: done ({} cycles)", pt.app, sara.cycles());
     Ok(Out {
@@ -75,7 +76,7 @@ fn eval(pt: &Pt) -> Result<Out, String> {
 fn main() {
     sara_bench::cli::parse_profile_dir_flag();
     let points: Vec<Pt> = apps().into_iter().map(|(app, program)| Pt { app, program }).collect();
-    let results = sweep::run_points(&points, eval);
+    let results = pool::run_points(&points, eval);
 
     println!(
         "{:<6} {:>11} {:>9} {:>9} {:>8} {:>9} {:>6} {:>5}",

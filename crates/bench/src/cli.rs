@@ -64,7 +64,7 @@ static PROFILE_DIR: OnceLock<Option<PathBuf>> = OnceLock::new();
 
 /// Directory for per-run profile artifacts, from `--profile-dir` (see
 /// [`parse_profile_dir_flag`]) or `SARA_BENCH_PROFILE_DIR`. `None`
-/// disables profiling in [`crate::run_profiled`].
+/// disables profiling in [`crate::run`].
 pub fn profile_dir() -> Option<PathBuf> {
     PROFILE_DIR
         .get_or_init(|| std::env::var_os("SARA_BENCH_PROFILE_DIR").map(PathBuf::from))
@@ -73,7 +73,7 @@ pub fn profile_dir() -> Option<PathBuf> {
 
 /// Consume a `--profile-dir DIR` argument from this process's command
 /// line (the one knob the fig/table binaries accept). Call at the top of
-/// `main`, before any [`crate::run_profiled`].
+/// `main`, before any [`crate::run`].
 pub fn parse_profile_dir_flag() {
     let mut dir = std::env::var_os("SARA_BENCH_PROFILE_DIR").map(PathBuf::from);
     let args = args();

@@ -1,17 +1,17 @@
-//! Shared experiment-harness plumbing: compile+PnR+simulate runners, the
-//! parallel sweep pool, and result records serialized into `results/`.
+//! Shared experiment-harness plumbing: compile+PnR+simulate runners and
+//! result records serialized into `results/`.
 
 pub mod cli;
 pub mod json;
-pub mod sweep;
 pub mod trace;
 
-use json::Json;
 use plasticine_arch::{ChipSpec, SystemSpec};
 use plasticine_sim::{simulate, simulate_system, SimConfig, SimOutcome};
 use sara_core::compile::{compile, Compiled, CompilerOptions};
+use sara_core::shard::ShardPlan;
 use sara_ir::interp::{Interp, InterpStats};
 use sara_ir::Program;
+use sara_util::Json;
 use std::path::PathBuf;
 
 pub use cli::{parse_profile_dir_flag, profile_dir};
@@ -23,6 +23,9 @@ pub struct Run {
     pub outcome: SimOutcome,
     /// Reference interpreter statistics (dynamic op/byte counts).
     pub interp: InterpStats,
+    /// Chip assignment, crossing streams and cut traffic (all on chip 0
+    /// for a 1-chip system).
+    pub plan: ShardPlan,
 }
 
 impl Run {
@@ -59,54 +62,35 @@ pub fn sim_config() -> SimConfig {
     }
 }
 
-/// Compile, place-and-route, and simulate a program.
-///
-/// # Errors
-///
-/// Returns a human-readable description of the failing phase.
-pub fn run(p: &Program, chip: &ChipSpec, opts: &CompilerOptions) -> Result<Run, String> {
-    run_with(p, chip, opts, &sim_config())
-}
-
-/// [`run`] with an explicit simulator configuration.
-///
-/// # Errors
-///
-/// Returns a human-readable description of the failing phase.
-pub fn run_with(
-    p: &Program,
-    chip: &ChipSpec,
-    opts: &CompilerOptions,
-    cfg: &SimConfig,
-) -> Result<Run, String> {
-    let interp = Interp::new(p).run().map_err(|e| format!("interp: {e}"))?.stats;
-    let mut compiled = compile(p, chip, opts).map_err(|e| format!("compile: {e}"))?;
-    sara_pnr::place_and_route(&mut compiled.vudfg, &compiled.assignment, chip, 17)
-        .map_err(|e| format!("pnr: {e}"))?;
-    let outcome = simulate(&compiled.vudfg, chip, cfg).map_err(|e| format!("sim: {e}"))?;
-    Ok(Run { compiled, outcome, interp })
-}
-
-/// [`run`], plus profile artifacts when a profile directory is
-/// configured: simulates with profiling enabled (cycle counts are
-/// bit-identical either way) and writes `<dir>/<tag>.profile.json`
-/// (counters) and `<dir>/<tag>.trace.json` (Chrome trace, opens in
-/// Perfetto).
+/// Compile, shard, place-and-route per chip, and simulate a program on a
+/// system (see `sara_pnr::place_and_route_system` and
+/// `plasticine_sim::simulate_system`; a 1-chip system takes the
+/// single-chip pipeline bit-for-bit). When a profile directory is
+/// configured the run is profiled (cycle counts are bit-identical either
+/// way) and writes `<dir>/<tag>.profile.json` (counters) and
+/// `<dir>/<tag>.trace.json` (Chrome trace, opens in Perfetto).
 ///
 /// # Errors
 ///
 /// Returns a human-readable description of the failing phase, including
 /// artifact I/O.
-pub fn run_profiled(
+pub fn run(
     tag: &str,
     p: &Program,
-    chip: &ChipSpec,
+    system: &SystemSpec,
     opts: &CompilerOptions,
 ) -> Result<Run, String> {
-    let Some(dir) = profile_dir() else { return run(p, chip, opts) };
-    let cfg = SimConfig { profile: true, ..sim_config() };
-    let r = run_with(p, chip, opts, &cfg)?;
-    if let Some(prof) = &r.outcome.profile {
+    let dir = profile_dir();
+    let cfg = SimConfig { profile: dir.is_some(), ..sim_config() };
+    let interp = Interp::new(p).run().map_err(|e| format!("interp: {e}"))?.stats;
+    let mut compiled = compile(p, &system.chip, opts).map_err(|e| format!("compile: {e}"))?;
+    let plan =
+        sara_pnr::place_and_route_system(&mut compiled.vudfg, &compiled.assignment, system, 17)
+            .map_err(|e| format!("pnr: {e}"))?
+            .plan;
+    let outcome =
+        simulate_system(&compiled.vudfg, system, &plan, &cfg).map_err(|e| format!("sim: {e}"))?;
+    if let (Some(dir), Some(prof)) = (dir, &outcome.profile) {
         std::fs::create_dir_all(&dir).map_err(|e| format!("profile dir: {e}"))?;
         std::fs::write(dir.join(format!("{tag}.profile.json")), json::profile_json(prof).pretty())
             .map_err(|e| format!("write profile json: {e}"))?;
@@ -116,63 +100,7 @@ pub fn run_profiled(
         )
         .map_err(|e| format!("write chrome trace: {e}"))?;
     }
-    Ok(r)
-}
-
-/// Compile, shard, place-and-route per chip, and simulate a program on
-/// every chip of a multi-chip system (see `sara_pnr::place_and_route_system`
-/// and `plasticine_sim::simulate_system`). A 1-chip system follows the
-/// single-chip pipeline bit-for-bit. Returns the run plus the shard plan
-/// (chip assignment, crossing streams, cut traffic) for reporting.
-///
-/// # Errors
-///
-/// Returns a human-readable description of the failing phase.
-pub fn run_system(
-    p: &Program,
-    system: &SystemSpec,
-    opts: &CompilerOptions,
-) -> Result<(Run, sara_core::shard::ShardPlan), String> {
-    run_system_with(p, system, opts, &sim_config())
-}
-
-/// [`run_system`] with an explicit simulator configuration.
-///
-/// # Errors
-///
-/// Returns a human-readable description of the failing phase.
-pub fn run_system_with(
-    p: &Program,
-    system: &SystemSpec,
-    opts: &CompilerOptions,
-    cfg: &SimConfig,
-) -> Result<(Run, sara_core::shard::ShardPlan), String> {
-    let interp = Interp::new(p).run().map_err(|e| format!("interp: {e}"))?.stats;
-    let mut compiled = compile(p, &system.chip, opts).map_err(|e| format!("compile: {e}"))?;
-    let pnr =
-        sara_pnr::place_and_route_system(&mut compiled.vudfg, &compiled.assignment, system, 17)
-            .map_err(|e| format!("pnr: {e}"))?;
-    let outcome = simulate_system(&compiled.vudfg, system, &pnr.plan, cfg)
-        .map_err(|e| format!("sim: {e}"))?;
-    Ok((Run { compiled, outcome, interp }, pnr.plan))
-}
-
-/// Compile, place-and-route, and simulate a registry workload by name.
-///
-/// The lookup failure is part of the `Result` — no panic path — so
-/// library consumers (the `sarad` service in particular) can surface an
-/// unknown-workload request as a typed protocol error.
-///
-/// # Errors
-///
-/// Returns a one-line description naming the unknown workload (with the
-/// known names) or the failing pipeline phase.
-pub fn run_workload(name: &str, chip: &ChipSpec, opts: &CompilerOptions) -> Result<Run, String> {
-    let w = sara_workloads::by_name(name).ok_or_else(|| {
-        let known: Vec<&str> = sara_workloads::all_small().iter().map(|w| w.name).collect();
-        format!("unknown workload {name:?} (known: {})", known.join(", "))
-    })?;
-    run(&w.program, chip, opts)
+    Ok(Run { compiled, outcome, interp, plan })
 }
 
 /// Compile and simulate through the vanilla-Plasticine (PC) baseline.
@@ -184,7 +112,7 @@ pub fn run_pc(p: &Program, chip: &ChipSpec) -> Result<Run, String> {
     sara_baselines::pc::apply_hierarchical_control(&mut compiled);
     let outcome =
         simulate(&compiled.vudfg, chip, &sim_config()).map_err(|e| format!("sim: {e}"))?;
-    Ok(Run { compiled, outcome, interp })
+    Ok(Run { plan: ShardPlan::single(&compiled.vudfg), compiled, outcome, interp })
 }
 
 /// Write a result set to `results/<name>.json` (repo root), returning the
@@ -242,18 +170,12 @@ mod tests {
 
     #[test]
     fn run_small_workload() {
-        let chip = ChipSpec::small_8x8();
-        let r = run_workload("dotprod", &chip, &CompilerOptions::default()).unwrap();
+        let w = sara_workloads::by_name("dotprod").unwrap();
+        let system = SystemSpec::single(ChipSpec::small_8x8());
+        let r = run("dotprod", &w.program, &system, &CompilerOptions::default()).unwrap();
         assert!(r.cycles() > 0);
         assert!(r.pus() > 0);
         assert!(r.flops_per_cycle() > 0.0);
-    }
-
-    #[test]
-    fn unknown_workload_is_a_typed_error_naming_the_registry() {
-        let chip = ChipSpec::small_8x8();
-        let e = run_workload("no-such-kernel", &chip, &CompilerOptions::default()).unwrap_err();
-        assert!(e.contains("unknown workload"), "got: {e}");
-        assert!(e.contains("dotprod"), "error must list known names: {e}");
+        assert_eq!(r.plan.count, 1);
     }
 }

@@ -20,8 +20,9 @@
 //! 3. [`mempart`] — memory partitioning (§III-B2): banked VMUs with either
 //!    statically resolved point-to-point wiring or hierarchical
 //!    merge/distribute trees.
-//! 4. [`opt`] — resource/performance optimizations (§III-C): `msr`,
-//!    `rtelm`, `retime`, `retime-m`, `xbar-elm`.
+//! 4. [`opt`] — resource/performance optimizations (§III-C): `rtelm`,
+//!    `retime`, `retime-m` (memory strength reduction and crossbar
+//!    elimination hold by construction, see [`opt_ir`]).
 //! 5. [`partition`] — compute partitioning (§III-B1) with traversal-based
 //!    and solver-based algorithms; [`merge`] — global merging.
 //! 6. [`assign`] — virtual-to-physical unit-type assignment and resource

@@ -1,16 +1,14 @@
-//! Performance and resource optimizations (paper §III-C): placeholder
-//! module shell; the individual passes live in submodules added during
-//! compilation-flow construction.
+//! Performance and resource optimizations (paper §III-C): the switches
+//! that select them. The passes themselves live where each is naturally
+//! expressed (see [`optimize`]).
 
 use crate::vudfg::Vudfg;
 use serde::{Deserialize, Serialize};
 
-/// Which optimizations are enabled (the Fig 10 ablation axes).
+/// Which optimizations are enabled. Fig 10 ablates `retime` and
+/// `retime_m` (plus the CMMC switches `reduce` and `relax`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OptConfig {
-    /// Memory strength reduction: scratchpads with constant-address
-    /// accessors become FIFOs (input buffers).
-    pub msr: bool,
     /// Route-through elimination: forwarding memories between lock-step
     /// producer/consumer pairs are removed.
     pub rtelm: bool,
@@ -20,21 +18,18 @@ pub struct OptConfig {
     /// Use scratchpads (PMUs) as retiming buffers instead of chained
     /// compute-unit FIFOs.
     pub retime_m: bool,
-    /// Duplicate cheap bank-address computation instead of forwarding it
-    /// across the crossbar datapath.
-    pub xbar_elm: bool,
 }
 
 impl Default for OptConfig {
     fn default() -> Self {
-        OptConfig { msr: true, rtelm: true, retime: true, retime_m: true, xbar_elm: true }
+        OptConfig { rtelm: true, retime: true, retime_m: true }
     }
 }
 
 impl OptConfig {
     /// Everything off (the ablation baseline).
     pub fn none() -> Self {
-        OptConfig { msr: false, rtelm: false, retime: false, retime_m: false, xbar_elm: false }
+        OptConfig { rtelm: false, retime: false, retime_m: false }
     }
 }
 
@@ -50,13 +45,10 @@ pub struct OptStats {
 /// The §III-C passes are distributed across the pipeline where each is
 /// naturally expressed:
 /// * `rtelm` rewrites the IR before lowering ([`crate::opt_ir::rtelm`]);
-/// * `msr` is structural — constant/affine addresses statically resolve
-///   to point-to-point streams at banking time (see [`crate::opt_ir`]
-///   module docs);
-/// * `xbar_elm` is a lowering wiring decision (bank-address computation is
-///   duplicated into each lane's request unit rather than forwarded);
 /// * `retime`/`retime_m` run during assignment, where post-partitioning
-///   path delays are known ([`crate::assign`]).
+///   path delays are known ([`crate::assign`]);
+/// * memory strength reduction and crossbar elimination have no switch:
+///   they hold by construction (see the [`crate::opt_ir`] module docs).
 pub fn optimize(_g: &mut Vudfg, _cfg: &OptConfig) -> OptStats {
     OptStats::default()
 }

@@ -9,15 +9,21 @@
 //!   `m2` written nowhere else, every writer of `m1` preceding the copy
 //!   and every reader of `m2` following it in program order.
 //!
-//! * **Memory strength reduction (`msr`)** — replacing scratchpads whose
+//! The paper's two other resource optimizations hold by construction
+//! here, so neither has a pass or a switch:
+//!
+//! * **Memory strength reduction** — replacing scratchpads whose
 //!   accessors all have constant addresses with FIFOs — arises in the
 //!   paper from *full* loop unrolling, which materializes one access site
 //!   per iteration. This reproduction unrolls spatially (lane counters,
 //!   not expression cloning), so addresses stay affine and the same
 //!   hardware saving is obtained structurally: constant-address accessors
 //!   bank trivially and statically resolve to point-to-point streams at
-//!   lowering time (see [`crate::mempart`]). `msr` therefore has no
-//!   separate rewrite here; the flag is kept for interface parity.
+//!   lowering time (see [`crate::mempart`]).
+//!
+//! * **Crossbar elimination** — lowering always duplicates cheap
+//!   bank-address computation into each lane's request unit rather than
+//!   forwarding it across the crossbar datapath (see [`crate::lower`]).
 
 use sara_ir::{CtrlKind, Expr, MemId, MemKind, Program};
 

@@ -182,15 +182,13 @@ impl KnobConfig {
             ),
         };
         format!(
-            "{}|{}|{}|msr={} rtelm={} retime={} retime_m={} xbar_elm={}{link}",
+            "{}|{}|{}|rtelm={} retime={} retime_m={}{link}",
             self.workload,
             self.chip,
             pars.join(","),
-            self.opt.msr,
             self.opt.rtelm,
             self.opt.retime,
-            self.opt.retime_m,
-            self.opt.xbar_elm
+            self.opt.retime_m
         )
     }
 
@@ -225,15 +223,15 @@ impl KnobConfig {
         doc.set(
             "opt",
             Json::object()
-                .set("msr", self.opt.msr)
                 .set("rtelm", self.opt.rtelm)
                 .set("retime", self.opt.retime)
-                .set("retime_m", self.opt.retime_m)
-                .set("xbar_elm", self.opt.xbar_elm),
+                .set("retime_m", self.opt.retime_m),
         )
     }
 
-    /// Deserialize from the artifact schema.
+    /// Deserialize from the artifact schema. Artifacts written before the
+    /// no-op `opt.msr` and `opt.xbar_elm` flags were removed still parse;
+    /// those two keys are ignored.
     ///
     /// # Errors
     ///
@@ -285,11 +283,9 @@ impl KnobConfig {
                 .ok_or_else(|| format!("knobs artifact: opt.{key} must be a boolean"))
         };
         let opt = OptConfig {
-            msr: flag("msr")?,
             rtelm: flag("rtelm")?,
             retime: flag("retime")?,
             retime_m: flag("retime_m")?,
-            xbar_elm: flag("xbar_elm")?,
         };
         let link_u32 = |key: &str| -> Result<Option<u32>, String> {
             match v.get(key) {
@@ -359,6 +355,22 @@ mod tests {
         let back = KnobConfig::parse(&cfg.to_json().pretty()).unwrap();
         assert_eq!(back, cfg);
         assert_ne!(back.key(), gemm_default().key());
+    }
+
+    #[test]
+    fn artifacts_with_removed_opt_flags_still_parse() {
+        let mut cfg = gemm_default();
+        cfg.opt.retime = false;
+        let current = cfg.to_json();
+        let opt = current.get("opt").unwrap().clone();
+        assert!(opt.get("msr").is_none() && opt.get("xbar_elm").is_none());
+        // Every artifact written before the no-op flags were removed
+        // carries them; they parse to the same point and are not re-emitted.
+        let old = current.clone().set("opt", opt.set("msr", true).set("xbar_elm", false));
+        let back = KnobConfig::from_json(&old).unwrap();
+        assert_eq!(back, KnobConfig::from_json(&current).unwrap());
+        assert_eq!(back, cfg);
+        assert_eq!(back.to_json(), current);
     }
 
     #[test]

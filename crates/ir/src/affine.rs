@@ -6,8 +6,8 @@
 //! * the memory partitioner (paper §III-B2) banks tensors cyclically and
 //!   statically resolves the bank-address stream when the affine form allows
 //!   it, replacing crossbars with point-to-point wiring;
-//! * the `msr` optimization replaces scratchpads whose accessors all have
-//!   *constant* addresses with FIFOs;
+//! * accessors with *constant* addresses bank trivially to point-to-point
+//!   streams (the paper's memory strength reduction);
 //! * credit relaxation compares address spans of producer/consumer accessors.
 
 use crate::expr::{BinOp, Expr, ExprId};

@@ -42,15 +42,8 @@ pub enum MemKind {
     Reg,
     /// Streaming first-in-first-out queue. Reads are destructive and must
     /// happen in write order; the compiler maps FIFOs onto unit input
-    /// buffers (see the `msr` optimization, paper §III-C).
+    /// buffers (the paper's memory strength reduction, §III-C).
     Fifo,
-}
-
-impl MemKind {
-    /// Whether the memory lives on-chip.
-    pub fn on_chip(self) -> bool {
-        !matches!(self, MemKind::Dram)
-    }
 }
 
 impl fmt::Display for MemKind {

@@ -170,16 +170,6 @@ impl Client {
         Ok(Client { writer: stream, reader })
     }
 
-    /// Connect to a Unix socket, retrying transient failures with
-    /// jittered exponential backoff.
-    ///
-    /// # Errors
-    ///
-    /// The last [`ClientError::Connect`] once attempts are exhausted.
-    pub fn connect_with_retry(socket: &Path, policy: &RetryPolicy) -> Result<Client, ClientError> {
-        Client::connect_to_with_retry(&Endpoint::unix(socket), policy)
-    }
-
     /// Connect to an endpoint, retrying transient failures (absent
     /// socket, TCP connection refused) with jittered exponential
     /// backoff.
@@ -288,21 +278,7 @@ impl Client {
 /// failures — connection refused, `busy` shedding, dropped connections,
 /// deadline timeouts. Safe because `sarad` requests are
 /// content-addressed and idempotent: a retried request re-serves (or
-/// resumes) cached work, never duplicates it.
-///
-/// # Errors
-///
-/// The first non-retryable error, or the last error once attempts are
-/// exhausted.
-pub fn run_with_retry(
-    socket: &Path,
-    req: &Json,
-    policy: &RetryPolicy,
-) -> Result<Vec<Json>, ClientError> {
-    run_with_retry_to(&Endpoint::unix(socket), req, policy)
-}
-
-/// [`run_with_retry`] over either transport: the endpoint names a Unix
+/// resumes) cached work, never duplicates it. The endpoint names a Unix
 /// socket path or a TCP `host:port` address.
 ///
 /// # Errors

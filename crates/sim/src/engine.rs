@@ -57,8 +57,6 @@ pub struct SimConfig {
     /// collector only observes, so cycle counts are bit-identical with
     /// profiling on or off.
     pub profile: bool,
-    /// DRAM timeline bin width in cycles when profiling.
-    pub profile_epoch: u64,
     /// Deterministic fault plan to inject (see [`crate::fault`]). `None`
     /// (the default) constructs no injector at all: simulation is
     /// bit-identical to a build without the feature.
@@ -85,7 +83,6 @@ impl Default for SimConfig {
             deadlock_window: 50_000,
             dense: false,
             profile: false,
-            profile_epoch: 1024,
             faults: None,
             sanitize: false,
             dram_retry_timeout: 10_000,
@@ -279,7 +276,7 @@ pub(crate) fn run(
         chip_of,
         image: build_image(g),
         must_drain: build_must_drain(g),
-        prof: cfg.profile.then(|| Profiler::new(g, &streams, cfg.profile_epoch)),
+        prof: cfg.profile.then(|| Profiler::new(g, &streams)),
         robust: Robust {
             inj,
             san: cfg.sanitize.then(|| Sanitizer::new(g)),

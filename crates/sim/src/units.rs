@@ -12,7 +12,7 @@ use ramulator_lite::{DramSim, Request};
 use sara_core::vudfg::{
     AgDir, AgUnit, CBound, Level, NodeOp, OutPort, StreamId, SyncUnit, Vcu, Vmu, XbarColl, XbarDist,
 };
-use sara_ir::{BinOp, Elem};
+use sara_ir::Elem;
 use std::collections::{HashMap, VecDeque};
 
 /// Per-cycle stepping context shared by all units.
@@ -1849,13 +1849,4 @@ impl Units {
             UKind::Ag(k) => self.ags[k as usize].step(ctx, dram, image),
         }
     }
-}
-
-/// Convenience: evaluate a BinOp lane tree (used by tests).
-pub fn fold_lanes(op: BinOp, v: &[Elem]) -> Elem {
-    let mut acc = v[0];
-    for x in &v[1..] {
-        acc = op.eval(acc, *x);
-    }
-    acc
 }
