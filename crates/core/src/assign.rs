@@ -51,6 +51,21 @@ pub struct Assignment {
     pub pu_type: HashMap<UnitId, PuType>,
 }
 
+impl Assignment {
+    /// The PMU-riding rule shared by the placer and the sharder: a
+    /// PMU-class unit whose first input comes from another PMU-class
+    /// unit (a response unit listening to its VMU) shares that unit's
+    /// grid slot. Returns the unit it rides with, if any.
+    pub fn pmu_host(&self, g: &Vudfg, u: UnitId) -> Option<UnitId> {
+        let is_pmu = |u: UnitId| self.pu_type.get(&u) == Some(&PuType::Pmu);
+        if !is_pmu(u) {
+            return None;
+        }
+        let src = g.stream(*g.unit(u).inputs.first()?).src;
+        is_pmu(src).then_some(src)
+    }
+}
+
 /// Run assignment. Mutates stream depths when retiming is enabled
 /// (buffers absorb pipeline-delay imbalance so joins do not stall).
 ///

@@ -1,7 +1,7 @@
 //! Resource usage reports produced by assignment, and the human-readable
 //! bottleneck summary rendered from a simulation profile.
 
-use crate::profile::{DramEpoch, SimProfile};
+use crate::profile::{DramEpoch, SimProfile, StallReason};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -52,7 +52,7 @@ pub fn bottleneck_summary(p: &SimProfile, top_n: usize) -> String {
         let _ = writeln!(out, "  worst-stalled VCUs (top {}):", top_n.min(worst.len()));
         for v in worst.iter().take(top_n) {
             let mut reasons = String::new();
-            for r in crate::profile::StallReason::ALL {
+            for r in StallReason::ALL {
                 let c = v.stalled(r);
                 if c > 0 {
                     let _ = write!(reasons, " {}={:.1}%", r.label(), pct(c));
@@ -101,6 +101,15 @@ pub fn bottleneck_summary(p: &SimProfile, top_n: usize) -> String {
         );
     }
     out
+}
+
+/// The profile scalars a simulated design point keeps: the fraction of
+/// VCU cycles stalled on DRAM, and the top-3 [`bottleneck_summary`].
+pub fn profile_scalars(p: &SimProfile) -> (f64, String) {
+    let total: u64 = p.vcus.iter().map(|v| v.total_cycles()).sum();
+    let dram: u64 = p.vcus.iter().map(|v| v.stalled(StallReason::DramBlocked)).sum();
+    let dram_blocked_frac = if total == 0 { 0.0 } else { dram as f64 / total as f64 };
+    (dram_blocked_frac, bottleneck_summary(p, 3))
 }
 
 #[cfg(test)]

@@ -118,7 +118,7 @@ pub fn plan_shards(g: &Vudfg, asg: &Assignment, system: &SystemSpec) -> ShardPla
         return ShardPlan { count: system.count.max(1), ..ShardPlan::single(g) };
     }
 
-    // ---- atomic clusters: merge groups + the placer's PMU-riding rule ----
+    // ---- atomic clusters: merge groups + the PMU-riding rule ----
     let mut parent: Vec<usize> = (0..n).collect();
     let mut group_rep: HashMap<usize, usize> = HashMap::new();
     for (i, u) in asg.merge.units.iter().enumerate() {
@@ -131,15 +131,8 @@ pub fn plan_shards(g: &Vudfg, asg: &Assignment, system: &SystemSpec) -> ShardPla
         }
     }
     for u in g.unit_ids() {
-        // Mirror of sara-pnr: a PMU-class unit whose first input comes
-        // from another PMU-class unit shares that unit's grid slot.
-        if asg.pu_type.get(&u) == Some(&PuType::Pmu) {
-            if let Some(first_in) = g.unit(u).inputs.first() {
-                let src = g.stream(*first_in).src;
-                if matches!(asg.pu_type.get(&src), Some(PuType::Pmu)) {
-                    union(&mut parent, u.index(), src.index());
-                }
-            }
+        if let Some(src) = asg.pmu_host(g, u) {
+            union(&mut parent, u.index(), src.index());
         }
     }
 
@@ -169,13 +162,8 @@ pub fn plan_shards(g: &Vudfg, asg: &Assignment, system: &SystemSpec) -> ShardPla
         placeable_host[u.index()] = owner;
     }
     for u in g.unit_ids() {
-        if asg.pu_type.get(&u) == Some(&PuType::Pmu) {
-            if let Some(first_in) = g.unit(u).inputs.first() {
-                let src = g.stream(*first_in).src;
-                if matches!(asg.pu_type.get(&src), Some(PuType::Pmu)) {
-                    placeable_host[u.index()] = placeable_host[src.index()];
-                }
-            }
+        if let Some(src) = asg.pmu_host(g, u) {
+            placeable_host[u.index()] = placeable_host[src.index()];
         }
     }
     let mut pcu_need = vec![0usize; k];

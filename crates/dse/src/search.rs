@@ -25,9 +25,9 @@
 use crate::cost::{estimate, CostEstimate, CostModel};
 use crate::knobs::KnobConfig;
 use plasticine_arch::{ChipSpec, SystemSpec};
-use sara_core::compile::compile;
-use sara_core::profile::StallReason;
-use sara_core::report::{bottleneck_summary, ResourceReport};
+use sara_core::compile::{compile, Compiled};
+use sara_core::report::{profile_scalars, ResourceReport};
+use sara_ir::Program;
 use sara_util::pool::run_points;
 use std::collections::HashSet;
 
@@ -85,6 +85,29 @@ pub struct EvalPoint {
 }
 
 impl EvalPoint {
+    /// The unsimulated point for `knobs` from its compile result
+    /// (`None`: the compile failed, so the point is infeasible). A
+    /// multi-chip system admits aggregate demand across all its chips;
+    /// the sharding pass and per-chip PnR settle the balance later.
+    pub fn from_compile(
+        knobs: &KnobConfig,
+        program: &Program,
+        system: &SystemSpec,
+        compiled: Option<&Compiled>,
+    ) -> EvalPoint {
+        let report = compiled.map(|c| c.report);
+        EvalPoint {
+            knobs: knobs.clone(),
+            estimate: compiled.map(|c| estimate(program, c, &system.chip)),
+            report,
+            feasible: report
+                .is_some_and(|r| system.can_fit(r.pcus as u32, r.pmus as u32, r.ags as u32)),
+            simulated: None,
+            dram_blocked_frac: None,
+            bottleneck: None,
+        }
+    }
+
     fn raw(&self) -> f64 {
         self.estimate.as_ref().map_or(f64::INFINITY, |e| e.raw_cycles)
     }
@@ -336,33 +359,9 @@ pub fn autotune_with(
 /// knob application) are `Err`.
 pub fn evaluate(knobs: &KnobConfig) -> Result<EvalPoint, String> {
     let system = knobs.system_spec()?;
-    let chip = system.chip.clone();
     let p = knobs.build_program()?;
-    let infeasible = |knobs: &KnobConfig| EvalPoint {
-        knobs: knobs.clone(),
-        estimate: None,
-        report: None,
-        feasible: false,
-        simulated: None,
-        dram_blocked_frac: None,
-        bottleneck: None,
-    };
-    let Ok(compiled) = compile(&p, &chip, &knobs.compiler_options()) else {
-        return Ok(infeasible(knobs));
-    };
-    let r = compiled.report;
-    // Multi-chip systems admit aggregate demand across all chips; the
-    // sharding pass and per-chip PnR settle the balance later.
-    let feasible = system.can_fit(r.pcus as u32, r.pmus as u32, r.ags as u32);
-    Ok(EvalPoint {
-        estimate: Some(estimate(&p, &compiled, &chip)),
-        report: Some(r),
-        feasible,
-        knobs: knobs.clone(),
-        simulated: None,
-        dram_blocked_frac: None,
-        bottleneck: None,
-    })
+    let compiled = compile(&p, &system.chip, &knobs.compiler_options()).ok();
+    Ok(EvalPoint::from_compile(knobs, &p, &system, compiled.as_ref()))
 }
 
 /// Compile, place, and simulate a point with profiling on, filling in its
@@ -385,11 +384,10 @@ fn simulate_point(p: &mut EvalPoint) -> Result<(), String> {
         .profile
         .as_ref()
         .ok_or_else(|| "sim: profiled config returned no profile".to_string())?;
-    let total: u64 = profile.vcus.iter().map(|v| v.total_cycles()).sum();
-    let dram: u64 = profile.vcus.iter().map(|v| v.stalled(StallReason::DramBlocked)).sum();
+    let (dram_blocked_frac, bottleneck) = profile_scalars(profile);
     p.simulated = Some(out.cycles);
-    p.dram_blocked_frac = Some(if total == 0 { 0.0 } else { dram as f64 / total as f64 });
-    p.bottleneck = Some(bottleneck_summary(profile, 3));
+    p.dram_blocked_frac = Some(dram_blocked_frac);
+    p.bottleneck = Some(bottleneck);
     Ok(())
 }
 

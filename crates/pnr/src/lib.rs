@@ -118,16 +118,11 @@ pub fn place_and_route(
         kinds.entry(p).or_insert(t);
     }
     // Response units ride with a PMU: place them with the VMU they listen
-    // to when possible (first input's source).
+    // to when possible.
     for u in g.unit_ids() {
-        if asg.pu_type.get(&u) == Some(&PuType::Pmu) {
-            if let Some(first_in) = g.unit(u).inputs.first() {
-                let src = g.stream(*first_in).src;
-                if matches!(asg.pu_type.get(&src), Some(PuType::Pmu)) {
-                    let host = placeable_of_unit[&src];
-                    placeable_of_unit.insert(u, host);
-                }
-            }
+        if let Some(src) = asg.pmu_host(g, u) {
+            let host = placeable_of_unit[&src];
+            placeable_of_unit.insert(u, host);
         }
     }
 

@@ -32,8 +32,13 @@
 //! * **On-disk store** — placed VUDFGs and sim artifacts in the
 //!   [`Store`](crate::store::Store), content-verified at read time; a
 //!   hash mismatch counts as corruption and forces a recompute, never a
-//!   serve. Lowered VUDFGs are persisted too as the compile stage's
-//!   artifact of record.
+//!   serve. The compile stage is memory-only: a restarted service
+//!   replays the placement from disk, which is all a downstream miss
+//!   needs, so a persisted compile artifact would never be read.
+//!
+//! All three stages run the same lookup-or-compute routine
+//! (`Engine::cached`); they differ only in their compute step and in
+//! whether they have a store codec.
 //!
 //! ## Single-flight
 //!
@@ -65,11 +70,10 @@ use sara_core::artifact::{
     compile_key, shard_plan_from_json, shard_plan_json, vudfg_from_json, vudfg_json, StableHasher,
 };
 use sara_core::compile::{compile, Compiled};
-use sara_core::profile::StallReason;
-use sara_core::report::bottleneck_summary;
+use sara_core::report::profile_scalars;
 use sara_core::shard::ShardPlan;
 use sara_core::vudfg::Vudfg;
-use sara_dse::{estimate, EvalPoint, Evaluator, KnobConfig};
+use sara_dse::{EvalPoint, Evaluator, KnobConfig};
 use sara_util::Json;
 use std::collections::HashMap;
 use std::path::Path;
@@ -210,13 +214,12 @@ impl SimArtifact {
             .profile
             .as_ref()
             .ok_or_else(|| "sim: profiled run returned no profile".to_string())?;
-        let total: u64 = profile.vcus.iter().map(|v| v.total_cycles()).sum();
-        let dram: u64 = profile.vcus.iter().map(|v| v.stalled(StallReason::DramBlocked)).sum();
+        let (dram_blocked_frac, bottleneck) = profile_scalars(profile);
         Ok(SimArtifact {
             cycles: out.cycles,
             firings: out.stats.firings,
-            dram_blocked_frac: if total == 0 { 0.0 } else { dram as f64 / total as f64 },
-            bottleneck: bottleneck_summary(profile, 3),
+            dram_blocked_frac,
+            bottleneck,
         })
     }
 
@@ -284,24 +287,28 @@ impl Stats {
 
     /// Render every counter.
     pub fn json(&self) -> Json {
-        let g = |c: &AtomicU64| i64::try_from(c.load(Ordering::Relaxed)).unwrap_or(i64::MAX);
         Json::object()
-            .set("compile_hits", g(&self.compile_hits))
-            .set("compile_misses", g(&self.compile_misses))
-            .set("place_hits", g(&self.place_hits))
-            .set("place_misses", g(&self.place_misses))
-            .set("sim_hits", g(&self.sim_hits))
-            .set("sim_misses", g(&self.sim_misses))
-            .set("compiles_run", g(&self.compiles_run))
-            .set("pnrs_run", g(&self.pnrs_run))
-            .set("sims_run", g(&self.sims_run))
-            .set("disk_hits", g(&self.disk_hits))
-            .set("corrupt_detected", g(&self.corrupt_detected))
-            .set("coalesced", g(&self.coalesced))
-            .set("rejected", g(&self.rejected))
-            .set("degraded", g(&self.degraded))
-            .set("timeouts", g(&self.timeouts))
+            .set("compile_hits", count(&self.compile_hits))
+            .set("compile_misses", count(&self.compile_misses))
+            .set("place_hits", count(&self.place_hits))
+            .set("place_misses", count(&self.place_misses))
+            .set("sim_hits", count(&self.sim_hits))
+            .set("sim_misses", count(&self.sim_misses))
+            .set("compiles_run", count(&self.compiles_run))
+            .set("pnrs_run", count(&self.pnrs_run))
+            .set("sims_run", count(&self.sims_run))
+            .set("disk_hits", count(&self.disk_hits))
+            .set("corrupt_detected", count(&self.corrupt_detected))
+            .set("coalesced", count(&self.coalesced))
+            .set("rejected", count(&self.rejected))
+            .set("degraded", count(&self.degraded))
+            .set("timeouts", count(&self.timeouts))
     }
+}
+
+/// A counter's current value as a JSON integer (saturating).
+fn count(c: &AtomicU64) -> i64 {
+    i64::try_from(c.load(Ordering::Relaxed)).unwrap_or(i64::MAX)
 }
 
 /// Per-stage progress callback: `(stage, outcome)` where outcome is
@@ -343,18 +350,33 @@ impl Placed {
     }
 }
 
-type CompileEntry = Result<Arc<Compiled>, String>;
-type PlaceEntry = Result<Arc<Placed>, String>;
-type SimEntry = Result<SimArtifact, String>;
+/// A stage's in-memory index: key → artifact or cached failure.
+type Memo<T> = Mutex<HashMap<String, Result<T, String>>>;
+
+/// How a persisted stage's artifact round-trips through the store.
+struct Codec<T> {
+    encode: fn(&T) -> Json,
+    decode: fn(&Json) -> Result<T, String>,
+}
+
+/// One cached pipeline stage as [`Engine::cached`] sees it.
+struct Stage<'a, T> {
+    name: &'static str,
+    memo: &'a Memo<T>,
+    hits: &'a AtomicU64,
+    misses: &'a AtomicU64,
+    /// `None` keeps the stage memory-only: no pin, load or save.
+    codec: Option<Codec<T>>,
+}
 
 /// The cached pipeline engine shared by the socket server and the
 /// in-process [`CachedEval`] autotune backend.
 #[derive(Debug)]
 pub struct Engine {
     store: Store,
-    compiled: Mutex<HashMap<String, CompileEntry>>,
-    placed: Mutex<HashMap<String, PlaceEntry>>,
-    sims: Mutex<HashMap<String, SimEntry>>,
+    compiled: Memo<Arc<Compiled>>,
+    placed: Memo<Arc<Placed>>,
+    sims: Memo<SimArtifact>,
     flights: Mutex<HashMap<String, Arc<Mutex<()>>>>,
     /// Artificial per-stage compute latency — a chaos/test hook for
     /// exercising deadlines and watchdogs; `None` in production.
@@ -420,16 +442,16 @@ impl Engine {
     /// Engine counters merged with the store's eviction/bytes counters
     /// — the full `stats` report the protocol exposes.
     pub fn stats_json(&self) -> Json {
-        let g = |c: &AtomicU64| i64::try_from(c.load(Ordering::Relaxed)).unwrap_or(i64::MAX);
         let c = &self.store.counters;
-        let mut doc = self.stats.json();
-        doc = doc
-            .set("store_bytes", g(&c.bytes))
-            .set("evictions", g(&c.evictions))
-            .set("evicted_bytes", g(&c.evicted_bytes))
-            .set("tmp_swept", g(&c.tmp_swept))
-            .set("quarantined", g(&c.quarantined))
-            .set("save_failures", g(&c.save_failures));
+        let mut doc = self
+            .stats
+            .json()
+            .set("store_bytes", count(&c.bytes))
+            .set("evictions", count(&c.evictions))
+            .set("evicted_bytes", count(&c.evicted_bytes))
+            .set("tmp_swept", count(&c.tmp_swept))
+            .set("quarantined", count(&c.quarantined))
+            .set("save_failures", count(&c.save_failures));
         if let Some(b) = self.store.budget() {
             doc = doc.set("cache_budget", i64::try_from(b).unwrap_or(i64::MAX));
         }
@@ -454,11 +476,103 @@ impl Engine {
         }
     }
 
-    /// Compile stage: lowered VUDFG + reports, keyed by
-    /// (program, options, system). Compilation itself is chip-local —
-    /// sharding happens at placement — but the key covers the full
-    /// topology so downstream stages can never alias. Failures are
-    /// cached as errors so a hopeless point never compiles twice.
+    /// [`Deadline::check`], counting a timeout.
+    fn check_deadline(&self, deadline: Deadline, stage: &str) -> Result<(), String> {
+        deadline.check(stage).inspect_err(|_| Stats::bump(&self.stats.timeouts))
+    }
+
+    /// The memoized entry for `key`, counted as a hit — and as a
+    /// coalesced wait when found only after taking the flight lock.
+    fn memo_hit<T: Clone>(
+        &self,
+        stage: &Stage<'_, T>,
+        key: &str,
+        coalesced: bool,
+        progress: Progress,
+    ) -> Option<Result<T, String>> {
+        let entry = stage.memo.lock().expect("stage cache poisoned").get(key).cloned()?;
+        Stats::bump(stage.hits);
+        if coalesced {
+            Stats::bump(&self.stats.coalesced);
+        }
+        progress(stage.name, "hit");
+        Some(entry)
+    }
+
+    /// The lookup-or-compute routine every stage runs: memory; then,
+    /// under the per-key flight lock, memory again; then — for a stage
+    /// with a codec — the verified disk store; then `compute`, if the
+    /// deadline allows. The result is saved (codec stages) and memoized,
+    /// failures included. A timeout is never memoized, so a retry
+    /// resumes from the last completed stage.
+    fn cached<T: Clone>(
+        &self,
+        stage: Stage<'_, T>,
+        key: &str,
+        deadline: Deadline,
+        progress: Progress,
+        compute: impl FnOnce(Progress) -> Result<T, String>,
+    ) -> Result<T, String> {
+        if let Some(entry) = self.memo_hit(&stage, key, false, progress) {
+            return entry;
+        }
+        let fl = self.flight(key);
+        let _g = fl.lock().expect("flight lock poisoned");
+        if let Some(entry) = self.memo_hit(&stage, key, true, progress) {
+            return entry;
+        }
+        let _pin = stage.codec.as_ref().map(|_| self.store.pin(stage.name, key));
+        let entry = match stage.codec.as_ref().and_then(|c| self.load(stage.name, key, c.decode)) {
+            Some(v) => {
+                Stats::bump(stage.hits);
+                Stats::bump(&self.stats.disk_hits);
+                progress(stage.name, "disk-hit");
+                Ok(v)
+            }
+            // The deadline gates the *computation*, never a cache hit.
+            None => self.check_deadline(deadline, stage.name).and_then(|()| {
+                Stats::bump(stage.misses);
+                progress(stage.name, "miss");
+                let entry = compute(progress);
+                if let (Ok(v), Some(codec)) = (&entry, &stage.codec) {
+                    self.save_or_degrade(stage.name, key, &(codec.encode)(v));
+                }
+                entry
+            }),
+        };
+        // A timeout — this stage's own or a nested one's — is not a
+        // failure of this stage, so it is never memoized.
+        if !matches!(&entry, Err(e) if e.starts_with(TIMEOUT_PREFIX)) {
+            stage.memo.lock().expect("stage cache poisoned").insert(key.to_string(), entry.clone());
+        }
+        self.flight_done(key);
+        entry
+    }
+
+    /// A verified, decodable artifact from the store, or `None` after
+    /// counting why not: a payload that fails verification or decoding
+    /// as corruption, a failed read as degraded.
+    fn load<T>(&self, stage: &str, key: &str, decode: fn(&Json) -> Result<T, String>) -> Option<T> {
+        let counter = match self.store.load(stage, key) {
+            StoreRead::Hit(payload) => match decode(&payload) {
+                Ok(v) => return Some(v),
+                Err(_) => &self.stats.corrupt_detected,
+            },
+            StoreRead::Corrupt(_) => &self.stats.corrupt_detected,
+            StoreRead::Failed(_) => &self.stats.degraded,
+            StoreRead::Miss => return None,
+        };
+        Stats::bump(counter);
+        None
+    }
+
+    /// Compile stage: the compiled design, keyed by (program, options,
+    /// system). Compilation itself is chip-local — sharding happens at
+    /// placement — but the key covers the full topology so downstream
+    /// stages can never alias. Memory-only: the place artifact already
+    /// replays without recompiling, so a compile artifact on disk would
+    /// never be read. Failures are cached as errors so a hopeless point
+    /// never compiles twice.
     ///
     /// # Errors
     ///
@@ -472,56 +586,22 @@ impl Engine {
         deadline: Deadline,
         progress: Progress,
     ) -> Result<Arc<Compiled>, String> {
-        if let Some(entry) =
-            self.compiled.lock().expect("compile cache poisoned").get(&keys.compile)
-        {
-            Stats::bump(&self.stats.compile_hits);
-            progress("compile", "hit");
-            return entry.clone();
-        }
-        let fl = self.flight(&keys.compile);
-        let _g = fl.lock().expect("flight lock poisoned");
-        if let Some(entry) =
-            self.compiled.lock().expect("compile cache poisoned").get(&keys.compile)
-        {
-            Stats::bump(&self.stats.compile_hits);
-            Stats::bump(&self.stats.coalesced);
-            progress("compile", "hit");
-            return entry.clone();
-        }
-        // The deadline gates the *computation*, never a cache hit, and a
-        // timeout is returned before anything is cached — so it is never
-        // memoized as a negative entry.
-        if let Err(e) = deadline.check("compile") {
-            Stats::bump(&self.stats.timeouts);
-            self.flight_done(&keys.compile);
-            return Err(e);
-        }
-        Stats::bump(&self.stats.compile_misses);
-        progress("compile", "miss");
-        let _pin = self.store.pin("compile", &keys.compile);
-        let entry: CompileEntry = (|| {
+        let stage = Stage {
+            name: "compile",
+            memo: &self.compiled,
+            hits: &self.stats.compile_hits,
+            misses: &self.stats.compile_misses,
+            codec: None,
+        };
+        self.cached(stage, &keys.compile, deadline, progress, |_| {
             self.apply_stage_delay();
             let program = knobs.build_program()?;
             let system = knobs.system_spec()?;
             Stats::bump(&self.stats.compiles_run);
-            let compiled = compile(&program, &system.chip, &knobs.compiler_options())
-                .map_err(|e| format!("compile: {e}"))?;
-            // Artifact of record: the lowered graph, content-addressed.
-            let payload = Json::object()
-                .set("vudfg", vudfg_json(&compiled.vudfg))
-                .set("pcus", compiled.report.pcus)
-                .set("pmus", compiled.report.pmus)
-                .set("ags", compiled.report.ags);
-            self.save_or_degrade("compile", &keys.compile, &payload);
-            Ok(Arc::new(compiled))
-        })();
-        self.compiled
-            .lock()
-            .expect("compile cache poisoned")
-            .insert(keys.compile.clone(), entry.clone());
-        self.flight_done(&keys.compile);
-        entry
+            compile(&program, &system.chip, &knobs.compiler_options())
+                .map(Arc::new)
+                .map_err(|e| format!("compile: {e}"))
+        })
     }
 
     /// Place stage: PnR'd VUDFG (plus the shard plan for multi-chip
@@ -540,60 +620,22 @@ impl Engine {
         deadline: Deadline,
         progress: Progress,
     ) -> Result<Arc<Placed>, String> {
-        if let Some(entry) = self.placed.lock().expect("place cache poisoned").get(&keys.place) {
-            Stats::bump(&self.stats.place_hits);
-            progress("place", "hit");
-            return entry.clone();
-        }
-        let fl = self.flight(&keys.place);
-        let _g = fl.lock().expect("flight lock poisoned");
-        if let Some(entry) = self.placed.lock().expect("place cache poisoned").get(&keys.place) {
-            Stats::bump(&self.stats.place_hits);
-            Stats::bump(&self.stats.coalesced);
-            progress("place", "hit");
-            return entry.clone();
-        }
-        let _pin = self.store.pin("place", &keys.place);
-        // Disk: a placed graph from a previous service run replays
-        // without recompiling or re-placing.
-        match self.store.load("place", &keys.place) {
-            StoreRead::Hit(payload) => {
-                if let Ok(p) = Placed::from_json(&payload) {
-                    let entry: PlaceEntry = Ok(Arc::new(p));
-                    Stats::bump(&self.stats.place_hits);
-                    Stats::bump(&self.stats.disk_hits);
-                    progress("place", "disk-hit");
-                    self.placed
-                        .lock()
-                        .expect("place cache poisoned")
-                        .insert(keys.place.clone(), entry.clone());
-                    self.flight_done(&keys.place);
-                    return entry;
-                }
-                // Verified envelope but undecodable payload: treat as
-                // corruption and fall through to recompute.
-                Stats::bump(&self.stats.corrupt_detected);
-            }
-            StoreRead::Corrupt(_) => Stats::bump(&self.stats.corrupt_detected),
-            StoreRead::Failed(_) => Stats::bump(&self.stats.degraded),
-            StoreRead::Miss => {}
-        }
-        if let Err(e) = deadline.check("place") {
-            Stats::bump(&self.stats.timeouts);
-            self.flight_done(&keys.place);
-            return Err(e);
-        }
-        Stats::bump(&self.stats.place_misses);
-        progress("place", "miss");
-        let entry: PlaceEntry = (|| {
+        let stage = Stage {
+            name: "place",
+            memo: &self.placed,
+            hits: &self.stats.place_hits,
+            misses: &self.stats.place_misses,
+            codec: Some(Codec {
+                encode: |p: &Arc<Placed>| p.to_json(),
+                decode: |v| Placed::from_json(v).map(Arc::new),
+            }),
+        };
+        self.cached(stage, &keys.place, deadline, progress, |progress| {
             let compiled = self.compile_stage(knobs, keys, deadline, progress)?;
             // Re-check after the nested stage: a compile that consumed
             // the whole budget stays cached, and this request stops here
             // instead of starting a PnR it cannot afford.
-            if let Err(e) = deadline.check("place") {
-                Stats::bump(&self.stats.timeouts);
-                return Err(e);
-            }
+            self.check_deadline(deadline, "place")?;
             let system = knobs.system_spec()?;
             let mut g = compiled.vudfg.clone();
             self.apply_stage_delay();
@@ -609,21 +651,8 @@ impl Engine {
             )
             .map_err(|e| format!("pnr: {e}"))?;
             let plan = (system.count > 1).then_some(pnr.plan);
-            let placed = Placed { vudfg: g, plan };
-            self.save_or_degrade("place", &keys.place, &placed.to_json());
-            Ok(Arc::new(placed))
-        })();
-        if let Err(e) = &entry {
-            // A timeout inside the nested compile stage must not be
-            // memoized as a permanent placement failure.
-            if e.starts_with(TIMEOUT_PREFIX) {
-                self.flight_done(&keys.place);
-                return entry;
-            }
-        }
-        self.placed.lock().expect("place cache poisoned").insert(keys.place.clone(), entry.clone());
-        self.flight_done(&keys.place);
-        entry
+            Ok(Arc::new(Placed { vudfg: g, plan }))
+        })
     }
 
     /// Sim stage: cycles + profile scalars keyed by
@@ -643,52 +672,16 @@ impl Engine {
         deadline: Deadline,
         progress: Progress,
     ) -> Result<SimArtifact, String> {
-        if let Some(entry) = self.sims.lock().expect("sim cache poisoned").get(&keys.sim) {
-            Stats::bump(&self.stats.sim_hits);
-            progress("sim", "hit");
-            return entry.clone();
-        }
-        let fl = self.flight(&keys.sim);
-        let _g = fl.lock().expect("flight lock poisoned");
-        if let Some(entry) = self.sims.lock().expect("sim cache poisoned").get(&keys.sim) {
-            Stats::bump(&self.stats.sim_hits);
-            Stats::bump(&self.stats.coalesced);
-            progress("sim", "hit");
-            return entry.clone();
-        }
-        let _pin = self.store.pin("sim", &keys.sim);
-        match self.store.load("sim", &keys.sim) {
-            StoreRead::Hit(payload) => {
-                if let Ok(art) = SimArtifact::from_json(&payload) {
-                    Stats::bump(&self.stats.sim_hits);
-                    Stats::bump(&self.stats.disk_hits);
-                    progress("sim", "disk-hit");
-                    self.sims
-                        .lock()
-                        .expect("sim cache poisoned")
-                        .insert(keys.sim.clone(), Ok(art.clone()));
-                    self.flight_done(&keys.sim);
-                    return Ok(art);
-                }
-                Stats::bump(&self.stats.corrupt_detected);
-            }
-            StoreRead::Corrupt(_) => Stats::bump(&self.stats.corrupt_detected),
-            StoreRead::Failed(_) => Stats::bump(&self.stats.degraded),
-            StoreRead::Miss => {}
-        }
-        if let Err(e) = deadline.check("sim") {
-            Stats::bump(&self.stats.timeouts);
-            self.flight_done(&keys.sim);
-            return Err(e);
-        }
-        Stats::bump(&self.stats.sim_misses);
-        progress("sim", "miss");
-        let entry: SimEntry = (|| {
+        let stage = Stage {
+            name: "sim",
+            memo: &self.sims,
+            hits: &self.stats.sim_hits,
+            misses: &self.stats.sim_misses,
+            codec: Some(Codec { encode: SimArtifact::to_json, decode: SimArtifact::from_json }),
+        };
+        self.cached(stage, &keys.sim, deadline, progress, |progress| {
             let placed = self.place_stage(knobs, keys, deadline, progress)?;
-            if let Err(e) = deadline.check("sim") {
-                Stats::bump(&self.stats.timeouts);
-                return Err(e);
-            }
+            self.check_deadline(deadline, "sim")?;
             let system = knobs.system_spec()?;
             self.apply_stage_delay();
             Stats::bump(&self.stats.sims_run);
@@ -702,19 +695,8 @@ impl Engine {
                 None => plasticine_sim::simulate(&placed.vudfg, &system.chip, &scheduler.config()),
             }
             .map_err(|e| format!("sim: {e}"))?;
-            let art = SimArtifact::from_outcome(&out)?;
-            self.save_or_degrade("sim", &keys.sim, &art.to_json());
-            Ok(art)
-        })();
-        if let Err(e) = &entry {
-            if e.starts_with(TIMEOUT_PREFIX) {
-                self.flight_done(&keys.sim);
-                return entry;
-            }
-        }
-        self.sims.lock().expect("sim cache poisoned").insert(keys.sim.clone(), entry.clone());
-        self.flight_done(&keys.sim);
-        entry
+            SimArtifact::from_outcome(&out)
+        })
     }
 
     /// Run the full pipeline for one request tuple.
@@ -772,37 +754,14 @@ impl CachedEval {
 
 impl Evaluator for CachedEval {
     fn evaluate(&self, knobs: &KnobConfig) -> Result<EvalPoint, String> {
-        // Same contract as `LocalEval`: setup failures are `Err`, a
-        // compile failure is an infeasible point, and multi-chip points
-        // are feasibility-checked against the system's aggregate
-        // capacity.
+        // Same contract as `LocalEval`: setup failures are `Err`, and a
+        // compile failure is an infeasible point.
         let system = knobs.system_spec()?;
         let program = knobs.build_program()?;
         let keys = stage_keys(knobs, Scheduler::Active)?;
         let mut sink = no_progress();
-        match self.engine.compile_stage(knobs, &keys, Deadline::none(), &mut sink) {
-            Ok(compiled) => {
-                let r = compiled.report;
-                Ok(EvalPoint {
-                    estimate: Some(estimate(&program, &compiled, &system.chip)),
-                    report: Some(r),
-                    feasible: system.can_fit(r.pcus as u32, r.pmus as u32, r.ags as u32),
-                    knobs: knobs.clone(),
-                    simulated: None,
-                    dram_blocked_frac: None,
-                    bottleneck: None,
-                })
-            }
-            Err(_) => Ok(EvalPoint {
-                knobs: knobs.clone(),
-                estimate: None,
-                report: None,
-                feasible: false,
-                simulated: None,
-                dram_blocked_frac: None,
-                bottleneck: None,
-            }),
-        }
+        let compiled = self.engine.compile_stage(knobs, &keys, Deadline::none(), &mut sink).ok();
+        Ok(EvalPoint::from_compile(knobs, &program, &system, compiled.as_deref()))
     }
 
     fn simulate(&self, point: &mut EvalPoint) -> Result<(), String> {

@@ -379,3 +379,20 @@ fn eviction_pressure_keeps_results_bit_identical_and_budget_holds() {
         "the budget must actually have constrained the store (evictions or refusals)"
     );
 }
+
+#[test]
+fn compile_stage_is_memory_only_and_store_bytes_match_the_disk() {
+    let dir = tmp_dir("memonly");
+    let engine = Engine::open(&dir).unwrap();
+    let mut sink = no_progress();
+    engine.run(&knobs_for("gemm", "8x8", 7), Scheduler::Active, &mut sink).unwrap();
+    assert_eq!(engine.stats.compiles_run.load(Ordering::Relaxed), 1);
+    assert!(!dir.join("compile").exists(), "the compile stage must not persist anything");
+    let on_disk: u64 = ["place", "sim"]
+        .iter()
+        .flat_map(|stage| std::fs::read_dir(dir.join(stage)).unwrap())
+        .map(|e| e.unwrap().metadata().unwrap().len())
+        .sum();
+    assert!(on_disk > 0);
+    assert_eq!(engine.store().bytes(), on_disk, "the size index must cover every stored byte");
+}

@@ -6,17 +6,35 @@
 //! * a `kill -9` mid-write (torn final file, orphaned temp, or both)
 //!   restarts clean: the next open rebuilds the size index, quarantines
 //!   the torn artifact on first read, and recomputes the right answer;
-//! * quarantined evidence is preserved on disk, never deleted.
+//! * quarantined evidence is preserved on disk, never deleted;
+//! * a `compile/` directory left by an older store layout is removed on
+//!   open, so the budget covers every byte the store holds.
 
 use sarad::engine::no_progress;
 use sarad::{stage_keys, Engine, Scheduler, StoreRead};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("sarad-recov-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// Bytes of every file under `dir`, recursively.
+fn disk_bytes(dir: &Path) -> u64 {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            let meta = e.metadata().unwrap();
+            if meta.is_dir() {
+                disk_bytes(&e.path())
+            } else {
+                meta.len()
+            }
+        })
+        .sum()
 }
 
 fn knobs_for(seed: u64) -> sara_dse::KnobConfig {
@@ -91,4 +109,34 @@ fn kill_nine_mid_write_restarts_clean_and_recomputes() {
     // And the recompute healed the slot: a third open serves from disk.
     let engine3 = Engine::open(&dir).unwrap();
     assert!(matches!(engine3.store().load("sim", &keys.sim), StoreRead::Hit(_)));
+}
+
+#[test]
+fn old_layout_compile_artifacts_are_removed_on_open_and_budget_holds() {
+    let dir = tmp_dir("oldlayout");
+    let knobs = knobs_for(7);
+    let keys = stage_keys(&knobs, Scheduler::Active).unwrap();
+    let art = {
+        let engine = Engine::open(&dir).unwrap();
+        let mut sink = no_progress();
+        engine.run(&knobs, Scheduler::Active, &mut sink).unwrap().1
+    };
+    let budget = disk_bytes(&dir);
+
+    // An older store also persisted one compile artifact per key.
+    std::fs::create_dir_all(dir.join("compile")).unwrap();
+    std::fs::write(dir.join("compile").join(format!("{}.json", keys.compile)), vec![b' '; 4096])
+        .unwrap();
+    assert!(disk_bytes(&dir) > budget);
+
+    let engine = Engine::open_with(&dir, Some(budget), None).unwrap();
+    assert!(!dir.join("compile").exists(), "open must delete the leftover compile directory");
+    assert!(engine.store().bytes() <= budget);
+    assert!(disk_bytes(&dir) <= budget, "on-disk bytes must respect the budget");
+
+    // The live artifacts were not evicted to make room: they still serve.
+    let mut sink = no_progress();
+    let (_, again) = engine.run(&knobs, Scheduler::Active, &mut sink).unwrap();
+    assert_eq!(again, art);
+    assert_eq!(engine.stats.sims_run.load(Ordering::Relaxed), 0, "must serve, not recompute");
 }
