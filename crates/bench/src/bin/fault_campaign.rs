@@ -5,20 +5,11 @@
 //! invariant sanitizer enabled (the baseline must pass cleanly), then
 //! derives a set of seeded single-fault plans from the compiled graph
 //! ([`plasticine_sim::seeded_plan`]) and replays the workload under each.
-//! Every faulted run must end in one of the accepted outcomes:
-//!
-//! * **recovered** — completed with the baseline's exact DRAM image
-//!   (timing-only faults, absorbed retries, faults that never landed);
-//! * **corrupt-detected** — completed but the image differs from the
-//!   baseline (a payload corruption propagated; the campaign's diff is
-//!   the detector);
-//! * **sanitizer** — aborted with a typed [`plasticine_sim::SanitizerReport`];
-//! * **watchdog** — deadlocked with a structured wait-for diagnosis;
-//! * **typed-fault** — a typed `SimError::Dram`/`SimError::Fault`.
-//!
-//! A panic, an undiagnosed `Timeout`, or a plan the config validator
-//! rejects is a **FAIL**: the fault model's contract is "recover or
-//! explain", never "hang or crash". Results are written as a JSON
+//! The horizon, the time-box and the outcome classes are the shared
+//! recover-or-explain protocol of [`plasticine_sim::fault`]: every faulted
+//! run must end recovered, corrupt-detected, sanitizer, watchdog or
+//! typed-fault. A panic, an undiagnosed `Timeout`, or a plan the config
+//! validator rejects is a **FAIL**. Results are written as a JSON
 //! artifact and the exit code is nonzero iff any run failed.
 //!
 //! ```text
@@ -30,41 +21,27 @@
 //! `plasticine_sim::fault`) instead of deriving seeded plans.
 
 use plasticine_arch::ChipSpec;
-use plasticine_sim::{seeded_plan, simulate, FaultPlan, SimConfig, SimError};
+use plasticine_sim::fault::{classify, faulted_config, plan_horizon, FaultOutcome};
+use plasticine_sim::{seeded_plan, simulate, FaultPlan, SimConfig};
 use sara_bench::cli;
 use sara_core::compile::{compile, CompilerOptions};
+use sara_util::pool::panic_message;
 use sara_util::Json;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// Campaign outcome classes, in the order they appear in the summary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Outcome {
-    Recovered,
-    CorruptDetected,
-    Sanitizer,
-    Watchdog,
-    TypedFault,
-    Fail,
-}
-
-impl Outcome {
-    fn label(self) -> &'static str {
-        match self {
-            Outcome::Recovered => "recovered",
-            Outcome::CorruptDetected => "corrupt-detected",
-            Outcome::Sanitizer => "sanitizer",
-            Outcome::Watchdog => "watchdog",
-            Outcome::TypedFault => "typed-fault",
-            Outcome::Fail => "FAIL",
-        }
-    }
-}
 
 struct Row {
     workload: String,
     plan: String,
-    outcome: Outcome,
+    outcome: FaultOutcome,
     detail: String,
+}
+
+impl Row {
+    /// A workload that failed before any fault was injected.
+    fn fail(workload: &str, plan: &str, detail: String) -> Row {
+        let (workload, plan) = (workload.to_string(), plan.to_string());
+        Row { workload, plan, outcome: FaultOutcome::Fail, detail }
+    }
 }
 
 fn usage() -> ! {
@@ -74,50 +51,6 @@ fn usage() -> ! {
         ChipSpec::NAMES.join("|")
     );
     std::process::exit(2);
-}
-
-/// Classify one faulted run against the fault-free baseline.
-fn classify(
-    result: Result<Result<plasticine_sim::SimOutcome, SimError>, String>,
-    baseline: &plasticine_sim::SimOutcome,
-) -> (Outcome, String) {
-    match result {
-        Err(panic_msg) => (Outcome::Fail, format!("panic: {panic_msg}")),
-        Ok(Ok(o)) => {
-            if o.dram_final == baseline.dram_final {
-                (Outcome::Recovered, format!("completed in {} cycles", o.cycles))
-            } else {
-                (
-                    Outcome::CorruptDetected,
-                    format!(
-                        "completed in {} cycles but DRAM image differs from baseline",
-                        o.cycles
-                    ),
-                )
-            }
-        }
-        Ok(Err(e)) => match &e {
-            SimError::Sanitizer(r) => (
-                Outcome::Sanitizer,
-                format!("{} at cycle {}: {}", r.invariant.label(), r.cycle, r.detail),
-            ),
-            SimError::Deadlock { cycle, report, .. } => (
-                Outcome::Watchdog,
-                format!(
-                    "deadlock at cycle {cycle}: {} member(s), cycle={}",
-                    report.members.len(),
-                    report.is_cycle
-                ),
-            ),
-            SimError::Dram { .. } | SimError::Fault { .. } => (Outcome::TypedFault, e.to_string()),
-            SimError::Timeout { cycle } => {
-                (Outcome::Fail, format!("undiagnosed timeout at cycle {cycle}"))
-            }
-            SimError::Config { message } => {
-                (Outcome::Fail, format!("plan rejected by config validation: {message}"))
-            }
-        },
-    }
 }
 
 fn main() {
@@ -162,7 +95,6 @@ fn main() {
 
     let workloads = sara_workloads::all_small();
     let mut rows: Vec<Row> = Vec::new();
-    let mut failed = false;
 
     for (wi, w) in workloads.iter().enumerate() {
         if let Some(name) = &only {
@@ -173,26 +105,14 @@ fn main() {
         let mut compiled = match compile(&w.program, &chip, &CompilerOptions::default()) {
             Ok(c) => c,
             Err(e) => {
-                rows.push(Row {
-                    workload: w.name.to_string(),
-                    plan: String::new(),
-                    outcome: Outcome::Fail,
-                    detail: format!("compile error: {e}"),
-                });
-                failed = true;
+                rows.push(Row::fail(w.name, "", format!("compile error: {e}")));
                 continue;
             }
         };
         if let Err(e) =
             sara_pnr::place_and_route(&mut compiled.vudfg, &compiled.assignment, &chip, 42)
         {
-            rows.push(Row {
-                workload: w.name.to_string(),
-                plan: String::new(),
-                outcome: Outcome::Fail,
-                detail: format!("pnr error: {e}"),
-            });
-            failed = true;
+            rows.push(Row::fail(w.name, "", format!("pnr error: {e}")));
             continue;
         }
         // Fault-free baseline, sanitizer on: must pass cleanly.
@@ -200,13 +120,8 @@ fn main() {
         let baseline = match simulate(&compiled.vudfg, &chip, &base_cfg) {
             Ok(o) => o,
             Err(e) => {
-                rows.push(Row {
-                    workload: w.name.to_string(),
-                    plan: "(baseline, no faults)".to_string(),
-                    outcome: Outcome::Fail,
-                    detail: format!("fault-free baseline failed: {e}"),
-                });
-                failed = true;
+                let detail = format!("fault-free baseline failed: {e}");
+                rows.push(Row::fail(w.name, "(baseline, no faults)", detail));
                 continue;
             }
         };
@@ -217,46 +132,27 @@ fn main() {
                     seeded_plan(
                         &compiled.vudfg,
                         seed ^ ((wi as u64) << 32) ^ pi,
-                        // Arm within the live window of the run.
-                        (baseline.cycles * 3 / 4).max(2),
+                        plan_horizon(&baseline),
                     )
                 })
                 .collect(),
         };
         for plan in plans {
             let plan_text = plan.to_string().trim_end().replace('\n', "; ");
-            let cfg = SimConfig {
-                faults: Some(plan),
-                sanitize: true,
-                dense,
-                // Time-box: a faulted run may be slower (stalls, delays,
-                // retries) but not unboundedly so.
-                max_cycles: baseline.cycles * 50 + 1_000_000,
-                ..SimConfig::default()
-            };
+            let cfg = faulted_config(&base_cfg, plan, &baseline);
             let result = catch_unwind(AssertUnwindSafe(|| simulate(&compiled.vudfg, &chip, &cfg)))
-                .map_err(|e| panic_message(&e));
+                .map_err(|e| panic_message(&*e).to_string());
             let (outcome, detail) = classify(result, &baseline);
-            if outcome == Outcome::Fail {
-                failed = true;
-            }
             println!("{:<10} {:<44} {:<16} {}", w.name, plan_text, outcome.label(), detail);
             rows.push(Row { workload: w.name.to_string(), plan: plan_text, outcome, detail });
         }
     }
 
     // Summary.
-    let mut counts: Vec<(Outcome, u64)> = [
-        Outcome::Recovered,
-        Outcome::CorruptDetected,
-        Outcome::Sanitizer,
-        Outcome::Watchdog,
-        Outcome::TypedFault,
-        Outcome::Fail,
-    ]
-    .iter()
-    .map(|&o| (o, rows.iter().filter(|r| r.outcome == o).count() as u64))
-    .collect();
+    let mut counts: Vec<(FaultOutcome, u64)> = FaultOutcome::ALL
+        .iter()
+        .map(|&o| (o, rows.iter().filter(|r| r.outcome == o).count() as u64))
+        .collect();
     counts.retain(|(_, n)| *n > 0);
     println!("---");
     println!(
@@ -287,16 +183,5 @@ fn main() {
         );
     let path = sara_bench::save_json_or_exit(&out_name, &json);
     println!("wrote {}", path.display());
-    std::process::exit(i32::from(failed));
-}
-
-/// Extract a printable message from a caught panic payload.
-fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = e.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = e.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic (non-string payload)".to_string()
-    }
+    std::process::exit(i32::from(rows.iter().any(|r| r.outcome == FaultOutcome::Fail)));
 }

@@ -106,16 +106,14 @@ pub fn stable_hash_hex(bytes: &[u8]) -> String {
 // Canonical key texts
 // ---------------------------------------------------------------------------
 
-/// Canonical text of a program for content addressing: the pretty-printed
-/// control tree plus every memory's initial-contents spec (which the
-/// pretty printer omits but which changes simulation results).
+/// Canonical text of a program for content addressing. Derived `Debug`
+/// rendering, like [`options_canon`]: a `Program` holds only `Vec`s,
+/// `String`s and enums, so the text is deterministic, and it is total —
+/// memories by [`MemId`] (not display name), constants with their type
+/// (`I64(3)` vs `F64(3.0)`), initial contents and do-while bounds all
+/// reach the key.
 pub fn program_canon(p: &Program) -> String {
-    use std::fmt::Write as _;
-    let mut out = p.pretty();
-    for (i, m) in p.mems.iter().enumerate() {
-        let _ = writeln!(out, "init m{i} {:?}", m.init);
-    }
-    out
+    format!("{p:?}")
 }
 
 /// Canonical text of the full compiler-option set. Derived `Debug`
@@ -132,7 +130,7 @@ pub fn options_canon(opts: &CompilerOptions) -> String {
 /// topologies that happen to share a display name.
 pub fn compile_key(p: &Program, opts: &CompilerOptions, system: &SystemSpec) -> String {
     let mut h = StableHasher::new();
-    h.str("sarad-compile-v2").str(&program_canon(p)).str(&options_canon(opts)).str(&system.canon());
+    h.str("sarad-compile-v3").str(&program_canon(p)).str(&options_canon(opts)).str(&system.canon());
     h.hex()
 }
 
@@ -854,10 +852,54 @@ mod tests {
         let w = sara_workloads::by_name("dotprod").unwrap();
         let mut p = w.program.clone();
         let canon = program_canon(&p);
-        assert!(canon.contains("program"));
+        assert!(canon.starts_with("Program {"));
         // Mutate initial data only: pretty() alone would not see it.
         p.mems[0].init = sara_ir::MemInit::LinSpace { start: 99.0, step: 0.5 };
         assert_ne!(canon, program_canon(&p), "init change must change the canon text");
+
+        // Each pair below printed the same pretty text (and so shared a
+        // compile key) while meaning different programs.
+        let chip = plasticine_arch::SystemSpec::single(ChipSpec::small_8x8());
+        let key = |p: &Program| compile_key(p, &CompilerOptions::default(), &chip);
+        fn exprs(p: &mut Program) -> impl Iterator<Item = &mut sara_ir::Expr> {
+            p.ctrls.iter_mut().flat_map(|c| match &mut c.kind {
+                sara_ir::CtrlKind::Leaf(h) => h.exprs.iter_mut(),
+                _ => [].iter_mut(),
+            })
+        }
+        // Two DRAMs both named `a`: sum a*a over the first or the second.
+        let mut first = w.program.clone();
+        first.mems[1].name = first.mems[0].name.clone();
+        let mut second = first.clone();
+        for (prog, from, to) in [(&mut first, 1, 0), (&mut second, 0, 1)] {
+            for e in exprs(prog) {
+                if let sara_ir::Expr::Load { mem, .. } = e {
+                    if *mem == MemId(from) {
+                        *mem = MemId(to);
+                    }
+                }
+            }
+        }
+        assert_ne!(key(&first), key(&second), "same-named memories must not alias");
+        // An integer and a float constant that display alike.
+        let mut float_init = w.program.clone();
+        for e in exprs(&mut float_init) {
+            if let sara_ir::Expr::Reduce { init, .. } = e {
+                assert_eq!(*init, Elem::F64(0.0));
+                *init = Elem::I64(0);
+            }
+        }
+        assert_ne!(key(&w.program), key(&float_init), "I64(0) and F64(0.0) must not alias");
+        // A do-while's iteration bound.
+        let ms = sara_workloads::by_name("ms").unwrap().program;
+        let mut bounded = ms.clone();
+        for c in &mut bounded.ctrls {
+            if let sara_ir::CtrlKind::DoWhile { max_iter, .. } = &mut c.kind {
+                *max_iter += 1;
+            }
+        }
+        assert_ne!(bounded, ms, "ms has a do-while");
+        assert_ne!(key(&ms), key(&bounded), "do-while max_iter must reach the key");
     }
 
     #[test]

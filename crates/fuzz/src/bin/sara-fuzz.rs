@@ -29,6 +29,7 @@
 //! every injected fault recovers or yields a typed diagnosis — a panic or
 //! an undiagnosed hang is a failure and writes a replayable artifact.
 
+use plasticine_sim::fault::FaultOutcome;
 use plasticine_sim::SimConfig;
 use sara_fuzz::gen;
 use sara_fuzz::minimize::{minimize, size_of};
@@ -244,17 +245,20 @@ fn main() {
                             args.seed.wrapping_mul(1_000_003).wrapping_add(idx * 97 + k);
                         fault_runs += 1;
                         match oracle.run_faulted(&program, fault_seed) {
-                            FaultVerdict::Recovered { .. } => fault_recovered += 1,
-                            FaultVerdict::Diagnosed { .. } => fault_diagnosed += 1,
-                            FaultVerdict::NotApplicable { .. } => {}
-                            FaultVerdict::Failure { detail } => {
+                            FaultVerdict::Ran { outcome: FaultOutcome::Recovered, .. } => {
+                                fault_recovered += 1
+                            }
+                            FaultVerdict::Ran { plan, outcome: FaultOutcome::Fail, detail } => {
                                 failures += 1;
+                                let detail = format!("plan [{plan}]: {detail}");
                                 eprintln!("case {idx} ({label}): FAULT-MODE FAILURE: {detail}");
                                 if let Err(e) = emit_fault_artifact(&args, idx, &program, &detail) {
                                     eprintln!("error: cannot write artifacts: {e}");
                                     std::process::exit(2);
                                 }
                             }
+                            FaultVerdict::Ran { .. } => fault_diagnosed += 1,
+                            FaultVerdict::NotApplicable { .. } => {}
                         }
                     }
                 }

@@ -10,10 +10,12 @@
 //! `IrError`/`CompileError`/PnR rejections are clean rejects.
 
 use plasticine_arch::ChipSpec;
-use plasticine_sim::{simulate, SimConfig, SimOutcome};
+use plasticine_sim::fault::{classify, faulted_config, plan_horizon, FaultOutcome};
+use plasticine_sim::{seeded_plan, simulate, SimConfig, SimOutcome};
 use sara_core::compile::{compile, CompilerOptions};
 use sara_ir::interp::Interp;
 use sara_ir::{MemKind, Program};
+use sara_util::pool::panic_message;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Pipeline stage at which an outcome was decided.
@@ -221,32 +223,22 @@ impl Oracle {
 }
 
 /// Fault-mode verdict: what happened when a seeded fault plan was
-/// injected into an otherwise-passing program.
-///
-/// The contract under test is "recover or explain": every injected fault
-/// must lead to a completed run or a *typed* diagnosis (sanitizer report,
-/// watchdog deadlock diagnosis, typed DRAM/unit fault). A panic or an
-/// undiagnosed timeout is a harness failure.
+/// injected into an otherwise-passing program. The outcome is the shared
+/// recover-or-explain classification of [`plasticine_sim::fault`].
 #[derive(Debug, Clone)]
 pub enum FaultVerdict {
-    /// Completed with the fault-free DRAM image (timing-only fault,
-    /// absorbed retry, or a fault that never landed).
-    Recovered { cycles: u64 },
-    /// Ended in a typed diagnosis (or a completed run whose image
-    /// divergence the differential comparison itself detected).
-    Diagnosed { class: String, detail: String },
-    /// The program never reached fault injection (reject or pre-stage
-    /// failure) — not a fault-mode outcome.
+    /// The plan (in its one-line text form) ran; `outcome` is
+    /// [`FaultOutcome::Fail`] iff the fault model's contract broke.
+    Ran { plan: String, outcome: FaultOutcome, detail: String },
+    /// Compile or PnR rejected the program, so no fault was injected.
     NotApplicable { reason: String },
-    /// Panic or undiagnosed hang: the fault model's contract is broken.
-    Failure { detail: String },
 }
 
 impl Oracle {
     /// Fault-mode oracle: compile and place the program, capture the
     /// fault-free baseline, then inject the seeded single-fault plan
     /// derived from `fault_seed` (see [`plasticine_sim::seeded_plan`])
-    /// with the sanitizer enabled, and classify the outcome.
+    /// under [`faulted_config`] and [`classify`] the outcome.
     pub fn run_faulted(&self, p: &Program, fault_seed: u64) -> FaultVerdict {
         let na = |reason: String| FaultVerdict::NotApplicable { reason };
         let mut opts = CompilerOptions::default();
@@ -269,56 +261,21 @@ impl Oracle {
         let base_cfg = SimConfig { sanitize: true, ..self.sim_cfg.clone() };
         let baseline = match simulate(&compiled.vudfg, &self.chip, &base_cfg) {
             Ok(o) => o,
-            Err(e) => return na(format!("fault-free baseline failed: {e}")),
-        };
-        let plan = plasticine_sim::seeded_plan(
-            &compiled.vudfg,
-            fault_seed,
-            (baseline.cycles * 3 / 4).max(2),
-        );
-        let plan_text = plan.to_string().trim_end().to_string();
-        let cfg = SimConfig {
-            faults: Some(plan),
-            sanitize: true,
-            max_cycles: baseline.cycles * 50 + 1_000_000,
-            ..self.sim_cfg.clone()
-        };
-        let result = catch_unwind(AssertUnwindSafe(|| simulate(&compiled.vudfg, &self.chip, &cfg)));
-        match result {
-            Err(e) => FaultVerdict::Failure {
-                detail: format!("panic under plan [{plan_text}]: {}", panic_message(&e)),
-            },
-            Ok(Ok(o)) if o.dram_final == baseline.dram_final => {
-                FaultVerdict::Recovered { cycles: o.cycles }
-            }
-            Ok(Ok(o)) => FaultVerdict::Diagnosed {
-                class: "image-divergence".to_string(),
-                detail: format!(
-                    "plan [{plan_text}] completed in {} cycles with a divergent DRAM image",
-                    o.cycles
-                ),
-            },
-            Ok(Err(e)) => {
-                use plasticine_sim::SimError;
-                match &e {
-                    SimError::Sanitizer(r) => FaultVerdict::Diagnosed {
-                        class: format!("sanitizer:{}", r.invariant.label()),
-                        detail: format!("plan [{plan_text}]: {e}"),
-                    },
-                    SimError::Deadlock { .. } => FaultVerdict::Diagnosed {
-                        class: "watchdog".to_string(),
-                        detail: format!("plan [{plan_text}]: {e}"),
-                    },
-                    SimError::Dram { .. } | SimError::Fault { .. } => FaultVerdict::Diagnosed {
-                        class: "typed-fault".to_string(),
-                        detail: format!("plan [{plan_text}]: {e}"),
-                    },
-                    SimError::Timeout { .. } | SimError::Config { .. } => FaultVerdict::Failure {
-                        detail: format!("plan [{plan_text}]: undiagnosed {e}"),
-                    },
+            Err(e) => {
+                return FaultVerdict::Ran {
+                    plan: String::new(),
+                    outcome: FaultOutcome::Fail,
+                    detail: format!("fault-free baseline failed: {e}"),
                 }
             }
-        }
+        };
+        let plan = seeded_plan(&compiled.vudfg, fault_seed, plan_horizon(&baseline));
+        let plan_text = plan.to_string().trim_end().to_string();
+        let cfg = faulted_config(&self.sim_cfg, plan, &baseline);
+        let result = catch_unwind(AssertUnwindSafe(|| simulate(&compiled.vudfg, &self.chip, &cfg)))
+            .map_err(|e| panic_message(&*e).to_string());
+        let (outcome, detail) = classify(result, &baseline);
+        FaultVerdict::Ran { plan: plan_text, outcome, detail }
     }
 }
 
@@ -327,19 +284,8 @@ impl Oracle {
 fn guard<T>(stage: Stage, f: impl FnOnce() -> T) -> Result<T, Verdict> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|e| Verdict::Failure {
         kind: FailureKind::Panic(stage),
-        detail: panic_message(&e),
+        detail: panic_message(&*e).to_string(),
     })
-}
-
-/// Extract a printable message from a caught panic payload.
-pub fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = e.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = e.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic (non-string payload)".to_string()
-    }
 }
 
 /// Install a silent panic hook so caught panics don't spam stderr with
@@ -410,9 +356,10 @@ mod tests {
         let case = crate::gen::generate(0);
         let oracle = Oracle { relax_credits: case.cfg.relax_credits, ..Oracle::default() };
         for fault_seed in 0..4u64 {
-            if let FaultVerdict::Failure { detail } = oracle.run_faulted(&case.program, fault_seed)
+            if let FaultVerdict::Ran { plan, outcome: FaultOutcome::Fail, detail } =
+                oracle.run_faulted(&case.program, fault_seed)
             {
-                panic!("fault contract broken (seed {fault_seed}): {detail}")
+                panic!("fault contract broken (seed {fault_seed}, plan [{plan}]): {detail}")
             }
         }
     }

@@ -33,7 +33,18 @@
 //! triggered faults at the end of the cycle containing the matching push
 //! (stream latency ≥ 1 guarantees the packet is still in flight), and
 //! response faults at the completion cycle the DRAM model itself fixes.
+//!
+//! # Recover or explain
+//!
+//! The fault model's contract is that every injected fault either
+//! recovers or ends in a typed diagnosis. Its rules live here, once, for
+//! every harness that checks it (the `fault-campaign` bench and the fuzz
+//! oracle's fault mode): a fault-free baseline fixes the plan's arming
+//! horizon ([`plan_horizon`]) and the faulted run's time-box
+//! ([`faulted_config`]), and [`classify`] maps the faulted run's result
+//! to a [`FaultOutcome`].
 
+use crate::engine::{SimConfig, SimError, SimOutcome};
 use crate::packet::{PacketArena, PacketRef};
 use crate::stream::StreamRt;
 use ramulator_lite::Response;
@@ -295,6 +306,115 @@ pub fn seeded_plan(g: &Vudfg, seed: u64, horizon: u64) -> FaultPlan {
         return FaultPlan::empty().with(at, kind);
     }
     FaultPlan::empty()
+}
+
+// ------------------------------------------------ recover-or-explain protocol
+
+/// The arming horizon for [`seeded_plan`], taken from a fault-free
+/// baseline run: three quarters of its cycle count, so the fault lands
+/// while the workload is still in flight.
+pub fn plan_horizon(baseline: &SimOutcome) -> u64 {
+    (baseline.cycles * 3 / 4).max(2)
+}
+
+/// The configuration of a faulted run: the caller's `base` (scheduler and
+/// every other field kept) with `plan` armed, the sanitizer on, and a
+/// time-box — a faulted run may be slower than `baseline` (stalls,
+/// delays, retries) but not unboundedly so.
+pub fn faulted_config(base: &SimConfig, plan: FaultPlan, baseline: &SimOutcome) -> SimConfig {
+    SimConfig {
+        faults: Some(plan),
+        sanitize: true,
+        max_cycles: baseline.cycles * 50 + 1_000_000,
+        ..base.clone()
+    }
+}
+
+/// How one faulted run ended. Every variant but [`FaultOutcome::Fail`]
+/// honours the fault model's contract: recover or explain, never hang or
+/// crash.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultOutcome {
+    /// Completed with the baseline's exact DRAM image (timing-only fault,
+    /// absorbed retry, or a fault that never landed).
+    Recovered,
+    /// Completed, but the DRAM image differs from the baseline: a payload
+    /// corruption propagated and the comparison itself detected it.
+    CorruptDetected,
+    /// Aborted with a typed sanitizer report.
+    Sanitizer,
+    /// Deadlocked with the watchdog's structured wait-for diagnosis.
+    Watchdog,
+    /// A typed `SimError::Dram` or `SimError::Fault`.
+    TypedFault,
+    /// A panic, an undiagnosed timeout, or a plan the config validator
+    /// rejected: the contract is broken.
+    Fail,
+}
+
+impl FaultOutcome {
+    /// Every outcome, in report order.
+    pub const ALL: [FaultOutcome; 6] = [
+        FaultOutcome::Recovered,
+        FaultOutcome::CorruptDetected,
+        FaultOutcome::Sanitizer,
+        FaultOutcome::Watchdog,
+        FaultOutcome::TypedFault,
+        FaultOutcome::Fail,
+    ];
+
+    pub fn label(self) -> &'static str {
+        match self {
+            FaultOutcome::Recovered => "recovered",
+            FaultOutcome::CorruptDetected => "corrupt-detected",
+            FaultOutcome::Sanitizer => "sanitizer",
+            FaultOutcome::Watchdog => "watchdog",
+            FaultOutcome::TypedFault => "typed-fault",
+            FaultOutcome::Fail => "FAIL",
+        }
+    }
+}
+
+/// Classify one faulted run against its fault-free `baseline`. `result` is
+/// the `catch_unwind`-wrapped [`crate::simulate`] result, with a panic
+/// already rendered as text. Returns the outcome and a one-line detail.
+pub fn classify(
+    result: Result<Result<SimOutcome, SimError>, String>,
+    baseline: &SimOutcome,
+) -> (FaultOutcome, String) {
+    match result {
+        Err(panic_msg) => (FaultOutcome::Fail, format!("panic: {panic_msg}")),
+        Ok(Ok(o)) if o.dram_final == baseline.dram_final => {
+            (FaultOutcome::Recovered, format!("completed in {} cycles", o.cycles))
+        }
+        Ok(Ok(o)) => (
+            FaultOutcome::CorruptDetected,
+            format!("completed in {} cycles but DRAM image differs from baseline", o.cycles),
+        ),
+        Ok(Err(e)) => match &e {
+            SimError::Sanitizer(r) => (
+                FaultOutcome::Sanitizer,
+                format!("{} at cycle {}: {}", r.invariant.label(), r.cycle, r.detail),
+            ),
+            SimError::Deadlock { cycle, report, .. } => (
+                FaultOutcome::Watchdog,
+                format!(
+                    "deadlock at cycle {cycle}: {} member(s), cycle={}",
+                    report.members.len(),
+                    report.is_cycle
+                ),
+            ),
+            SimError::Dram { .. } | SimError::Fault { .. } => {
+                (FaultOutcome::TypedFault, e.to_string())
+            }
+            SimError::Timeout { cycle } => {
+                (FaultOutcome::Fail, format!("undiagnosed timeout at cycle {cycle}"))
+            }
+            SimError::Config { message } => {
+                (FaultOutcome::Fail, format!("plan rejected by config validation: {message}"))
+            }
+        },
+    }
 }
 
 // ------------------------------------------------------------- injector
@@ -750,6 +870,74 @@ mod tests {
             kinds.insert(format!("{}", p.faults[0]).split(' ').next().unwrap().to_string());
         }
         assert!(kinds.len() >= 3, "seeds should cover several fault kinds: {kinds:?}");
+    }
+
+    fn outcome(cycles: u64, out: i64) -> SimOutcome {
+        SimOutcome {
+            cycles,
+            dram_final: [(sara_ir::MemId(0), vec![Elem::I64(out)])].into_iter().collect(),
+            stats: crate::SimStats::default(),
+            profile: None,
+        }
+    }
+
+    #[test]
+    fn horizon_and_time_box_follow_the_baseline() {
+        let baseline = outcome(1000, 7);
+        assert_eq!(plan_horizon(&baseline), 750);
+        assert_eq!(plan_horizon(&outcome(1, 7)), 2, "floor keeps 1..horizon non-empty");
+        let base = SimConfig { dense: true, deadlock_window: 123, ..SimConfig::default() };
+        let plan = FaultPlan::empty().with(5, FaultKind::Drop { stream: 0 });
+        let cfg = faulted_config(&base, plan.clone(), &baseline);
+        assert_eq!(cfg.max_cycles, 1_050_000);
+        assert!(cfg.sanitize);
+        assert_eq!(cfg.faults, Some(plan));
+        assert!(cfg.dense);
+        assert_eq!(cfg.deadlock_window, 123);
+    }
+
+    #[test]
+    fn classify_covers_every_outcome() {
+        use sara_core::robust::{InvariantKind, SanitizerReport, WatchdogReport};
+        let baseline = outcome(1000, 7);
+        let class = |r: Result<Result<SimOutcome, SimError>, String>| classify(r, &baseline).0;
+        let err = |e: SimError| class(Ok(Err(e)));
+
+        assert_eq!(class(Err("boom".to_string())), FaultOutcome::Fail);
+        assert_eq!(classify(Err("boom".to_string()), &baseline).1, "panic: boom");
+        assert_eq!(err(SimError::Timeout { cycle: 9 }), FaultOutcome::Fail);
+        assert_eq!(err(SimError::Config { message: "bad".into() }), FaultOutcome::Fail);
+        let watchdog = WatchdogReport {
+            cycle: 9,
+            stalled_for: 5,
+            is_cycle: true,
+            members: Vec::new(),
+            backpressured_streams: 0,
+        };
+        let deadlock =
+            SimError::Deadlock { cycle: 9, diagnostic: String::new(), report: Box::new(watchdog) };
+        assert_eq!(err(deadlock), FaultOutcome::Watchdog);
+        let report = SanitizerReport {
+            cycle: 9,
+            invariant: InvariantKind::TokenConservation,
+            stream: Some(0),
+            edge: String::new(),
+            detail: "lost".into(),
+            recent: Vec::new(),
+        };
+        assert_eq!(err(SimError::Sanitizer(Box::new(report))), FaultOutcome::Sanitizer);
+        let stall = ramulator_lite::DramError::ResponseStall {
+            channel: None,
+            id: 1,
+            waited: 10,
+            budget: 5,
+        };
+        let dram = SimError::Dram { cycle: 9, unit: "ag0".into(), error: stall };
+        assert_eq!(err(dram), FaultOutcome::TypedFault);
+        let fault = SimError::Fault { cycle: 9, unit: "pcu0".into(), message: "oob".into() };
+        assert_eq!(err(fault), FaultOutcome::TypedFault);
+        assert_eq!(class(Ok(Ok(outcome(1200, 7)))), FaultOutcome::Recovered);
+        assert_eq!(class(Ok(Ok(outcome(1000, 8)))), FaultOutcome::CorruptDetected);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //!   deterministic result ordering, per-point panic isolation). Moved
 //!   here from `sara_bench::sweep` so crates below the bench harness
 //!   (notably `sara-dse`) can fan candidate evaluations out without a
-//!   dependency cycle; `sara_bench::sweep` re-exports it unchanged.
+//!   dependency cycle. Its [`pool::panic_message`] renders a caught
+//!   panic for every harness that isolates work behind `catch_unwind`.
 //! * [`json`] — the minimal JSON value type with insertion-ordered
 //!   object keys, plus a parser so replayable artifacts (knob configs,
 //!   fault plans' JSON sidecars) can be read back.

@@ -237,7 +237,9 @@ impl<T> JobQueue<T> {
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+/// The printable message of a caught panic payload (a `&str` or `String`
+/// from `panic!`), for harnesses that isolate work behind `catch_unwind`.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         s
     } else if let Some(s) = payload.downcast_ref::<String>() {
