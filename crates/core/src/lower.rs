@@ -668,7 +668,7 @@ impl<'a> Builder<'a> {
                 Expr::Load { mem, .. } => {
                     let access = AccessId { hb, expr: eid };
                     let (src_unit, src_port) =
-                        self.build_access(access, *mem, lane, &binding, &specs, &h, &nodes, None)?;
+                        self.build_access(access, *mem, lane, &binding, &specs, &h)?;
                     let (_, in_port) = self.g.connect_bcast(
                         src_unit,
                         src_port,
@@ -726,8 +726,7 @@ impl<'a> Builder<'a> {
                         let data_node = nodes[value.index()];
                         let cond_node = cond.map(|c| nodes[c.index()]);
                         self.build_store(
-                            access, *mem, lane, &binding, &specs, &h, &nodes, main, data_node,
-                            cond_node,
+                            access, *mem, lane, &binding, &specs, &h, main, data_node, cond_node,
                         )?;
                         data_node
                     }
@@ -987,8 +986,6 @@ impl<'a> Builder<'a> {
         binding: &BTreeMap<CtrlId, u32>,
         specs: &[LSpec],
         h: &sara_ir::Hyperblock,
-        _main_nodes: &[usize],
-        _unused: Option<()>,
     ) -> Result<(UnitId, usize), CompileError> {
         let decl = self.p.mem(mem);
         let hb = access.hb;
@@ -1050,16 +1047,10 @@ impl<'a> Builder<'a> {
                 NodeOp::StreamOut { port: addr_out, pred: false, empty_pred: false },
                 vec![flat],
             );
-            // AG data out: create a port by connecting to a throwaway? We
-            // create the port lazily at first consumer via connect_bcast
-            // from port 0 — so make the port now against the response unit
-            // or the main unit; simplest: the caller broadcasts from the
-            // port we create toward the first consumer. Create the port
-            // with the response unit if needed, else leave for caller.
             if let UnitKind::Ag(a) = &mut self.g.unit_mut(ag).kind {
                 a.addr_in = ag_in;
             }
-            let out_port = self.ensure_out_port(ag, kind_vec, format!("data:{access}"));
+            let out_port = self.ensure_out_port(ag);
             if let UnitKind::Ag(a) = &mut self.g.unit_mut(ag).kind {
                 a.out = out_port;
             }
@@ -1088,7 +1079,6 @@ impl<'a> Builder<'a> {
         binding: &BTreeMap<CtrlId, u32>,
         specs: &[LSpec],
         h: &sara_ir::Hyperblock,
-        main_nodes: &[usize],
         data_unit: UnitId,
         data_node: usize,
         cond_node: Option<usize>,
@@ -1147,7 +1137,6 @@ impl<'a> Builder<'a> {
         self.access_lanes.entry(access).or_default().push(lane.clone());
         let req_nodes = self.translate_slice(req, hb, h, &needed, binding)?;
         let req_cond = cond_expr.map(|c| req_nodes[&c.index()]);
-        let _ = main_nodes;
         self.finish_store_wiring(
             access,
             mem,
@@ -1239,7 +1228,7 @@ impl<'a> Builder<'a> {
                 a.addr_in = ag_addr_in;
                 a.data_in = Some(ag_data_in);
             }
-            let ack_port = self.ensure_out_port(ag, StreamKind::Scalar, format!("ack:{access}"));
+            let ack_port = self.ensure_out_port(ag);
             if let UnitKind::Ag(a) = &mut self.g.unit_mut(ag).kind {
                 a.out = ack_port;
             }
@@ -1394,7 +1383,7 @@ impl<'a> Builder<'a> {
                 NodeOp::StreamOut { port: addr_out, pred: false, empty_pred: false },
                 vec![local],
             );
-            let data_port = self.ensure_out_port(vmu, kind_vec, format!("rdata:{access}"));
+            let data_port = self.ensure_out_port(vmu);
             self.vmu_build
                 .get_mut(&vmu)
                 .ok_or_else(|| CompileError::Internal("vmu build state missing".into()))?
@@ -1462,7 +1451,7 @@ impl<'a> Builder<'a> {
                     format!("raddr:{access}#{b}"),
                 );
                 bank_outs.push(out_p);
-                let data_port = self.ensure_out_port(vmu, kind_vec, format!("rdata:{access}#{b}"));
+                let data_port = self.ensure_out_port(vmu);
                 self.vmu_build
                     .get_mut(&vmu)
                     .ok_or_else(|| CompileError::Internal("vmu build state missing".into()))?
@@ -1478,7 +1467,7 @@ impl<'a> Builder<'a> {
                 );
                 coll_bank_ins.push(coll_in);
             }
-            let out_port = self.ensure_out_port(coll, kind_vec, format!("rdata:{access}"));
+            let out_port = self.ensure_out_port(coll);
             if let UnitKind::XbarDist(d) = &mut self.g.unit_mut(dist).kind {
                 d.bank_in = dist_bank_in;
                 d.payload_in = dist_addr_in;
@@ -1607,8 +1596,7 @@ impl<'a> Builder<'a> {
                         }
                     };
                     let ack_port = if self.token_srcs.contains(&access) && completion.is_none() {
-                        let p =
-                            self.ensure_out_port(vmu, StreamKind::Scalar, format!("ack:{access}"));
+                        let p = self.ensure_out_port(vmu);
                         completion = Some((vmu, p));
                         Some(p)
                     } else {
@@ -1752,11 +1740,7 @@ impl<'a> Builder<'a> {
                     );
                     d_outs.push(dp);
                     let ack = if let Some(c) = coll {
-                        let p = self.ensure_out_port(
-                            vmu,
-                            StreamKind::Scalar,
-                            format!("ack:{access}#{b}"),
-                        );
+                        let p = self.ensure_out_port(vmu);
                         let (_, cin) = self.g.connect_bcast(
                             vmu,
                             p,
@@ -1787,7 +1771,7 @@ impl<'a> Builder<'a> {
                     d.bank_outs = d_outs;
                 }
                 if let Some(c) = coll {
-                    let out = self.ensure_out_port(c, StreamKind::Scalar, format!("ack:{access}"));
+                    let out = self.ensure_out_port(c);
                     if let UnitKind::XbarColl(cc) = &mut self.g.unit_mut(c).kind {
                         cc.ba_in = coll_ba_in;
                         cc.bank_ins = coll_ins;
@@ -2021,7 +2005,7 @@ impl<'a> Builder<'a> {
 
     /// Create a fresh output port on a unit with no stream yet; streams are
     /// attached by consumers via `connect_bcast`.
-    fn ensure_out_port(&mut self, unit: UnitId, _kind: StreamKind, _label: String) -> usize {
+    fn ensure_out_port(&mut self, unit: UnitId) -> usize {
         self.g.unit_mut(unit).outputs.push(crate::vudfg::OutPort { streams: Vec::new() });
         self.g.unit(unit).outputs.len() - 1
     }
@@ -2037,7 +2021,7 @@ impl<'a> Builder<'a> {
         if let Some(port) = self.fifo_ports.get(&mem) {
             return *port;
         }
-        let port = self.ensure_out_port(wu, StreamKind::Scalar, format!("fifo:{mem}"));
+        let port = self.ensure_out_port(wu);
         let ins = match cnode {
             Some(c) => vec![vnode, c],
             None => vec![vnode],
@@ -2123,11 +2107,7 @@ impl<'a> Builder<'a> {
             let out_port = match port {
                 Some(p) => p,
                 None => {
-                    let p = self.ensure_out_port(
-                        wunit,
-                        StreamKind::Scalar,
-                        format!("ctrl:{}", pend.mem),
-                    );
+                    let p = self.ensure_out_port(wunit);
                     self.push_node(
                         wunit,
                         NodeOp::StreamOut { port: p, pred: false, empty_pred: false },

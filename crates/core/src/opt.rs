@@ -39,8 +39,9 @@ pub struct OptStats {
     pub rtelm_removed: usize,
 }
 
-/// Apply the enabled VUDFG-level optimizations in place and return
-/// statistics.
+/// No VUDFG-level pass is left to run here: [`crate::compile()`] does not
+/// call this, and it returns empty statistics. It stays only for the
+/// stage-by-stage compile of the `pipebench` benchmark, which calls it.
 ///
 /// The §III-C passes are distributed across the pipeline where each is
 /// naturally expressed:

@@ -35,8 +35,10 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Seeded xorshift64 — the only randomness in the harness, so a seed
-/// fully determines the fault schedule.
+/// Seeded xorshift64 — the only randomness in the crate (the harness's
+/// schedules, [`StoreFaults`](crate::store::StoreFaults) draws and
+/// [`RetryPolicy`](crate::client::RetryPolicy) jitter), so a seed fully
+/// determines the fault schedule.
 #[derive(Debug, Clone)]
 pub struct Rng(u64);
 

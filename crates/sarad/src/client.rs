@@ -9,6 +9,7 @@
 //! response (typed, never a parse panic) from a genuine server-side
 //! error (do not retry).
 
+use crate::chaos::Rng;
 use crate::net::{Conn, Endpoint};
 use sara_util::Json;
 use std::io::{BufRead, BufReader, Write};
@@ -105,13 +106,7 @@ impl RetryPolicy {
     pub fn delay(&self, attempt: u32) -> Duration {
         let exp = self.base_ms.saturating_mul(1u64 << attempt.min(20));
         let capped = exp.min(self.max_ms);
-        let mut x = self.seed.wrapping_add(u64::from(attempt) + 1);
-        if x == 0 {
-            x = 0x9e37_79b9_7f4a_7c15;
-        }
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
+        let x = Rng::new(self.seed.wrapping_add(u64::from(attempt) + 1)).draw();
         let jitter_half = (capped / 2).saturating_mul(x % 1000) / 1000;
         Duration::from_millis(capped / 2 + jitter_half)
     }

@@ -26,6 +26,7 @@
 //!   errors, and slow I/O — the chaos harness drives the whole service
 //!   through these and asserts the recover-or-explain contract.
 
+use crate::chaos::Rng;
 use sara_core::artifact::stable_hash_hex;
 use sara_util::Json;
 use std::collections::HashMap;
@@ -69,7 +70,7 @@ pub enum StoreRead {
 /// seed always injects the same fault sequence.
 #[derive(Debug)]
 pub struct StoreFaults {
-    rng: Mutex<u64>,
+    rng: Mutex<Rng>,
     /// Percent of saves that publish a torn (truncated) file directly to
     /// the final path — simulating a non-atomic filesystem — and report
     /// failure.
@@ -91,7 +92,7 @@ impl StoreFaults {
     /// A schedule drawing from `seed` (any value; zero is remapped).
     pub fn seeded(seed: u64) -> StoreFaults {
         StoreFaults {
-            rng: Mutex::new(if seed == 0 { 0x9e37_79b9_7f4a_7c15 } else { seed }),
+            rng: Mutex::new(Rng::new(seed)),
             torn_write_pct: 0,
             orphan_tmp_pct: 0,
             enospc_pct: 0,
@@ -102,13 +103,7 @@ impl StoreFaults {
     }
 
     fn roll(&self) -> u64 {
-        let mut st = self.rng.lock().expect("fault rng poisoned");
-        let mut x = *st;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        *st = x;
-        x % 100
+        self.rng.lock().expect("fault rng poisoned").below(100)
     }
 
     fn maybe_sleep(&self) {

@@ -7,17 +7,20 @@
 #                    style failures surface in seconds, not after a full
 #                    build.
 #   --fuzz-budget N  additionally run the differential fuzzer over N random
-#                    programs (fixed seed, artifacts under fuzz-artifacts/).
-#                    A divergence or panic fails verification.
-#   --faults         additionally run the seeded fault-injection campaign
-#                    over every registry workload (fixed seed). Any panic or
-#                    undiagnosed hang under an injected fault fails
-#                    verification; the JSON report lands in results/.
-#   --bench          additionally run the simulator-throughput benchmark
-#                    (smoke scale) against the committed baseline in
-#                    results/BENCH_sim_throughput.json — what the CI
-#                    perf-trajectory job gates on. Fails on a >20%
-#                    calibration-normalized regression.
+#                    programs (fixed seed, artifacts under fuzz-artifacts/),
+#                    then again in fault mode — the two passes of the CI
+#                    fuzz job, which uses N = 600. A divergence, a panic or
+#                    an unexplained fault fails verification.
+#   --faults         additionally run the seeded fault-injection campaigns
+#                    of the CI fault-campaign job over every registry
+#                    workload (active and dense scheduler, fixed seeds).
+#                    Any panic or undiagnosed hang under an injected fault
+#                    fails verification; the JSON reports land in results/.
+#   --bench          additionally run the pipeline performance gate
+#                    (scripts/pipegate.sh, what the CI pipeline-gate job
+#                    runs): every pipebench workload 3 times, medians
+#                    against the committed results/BENCH_pipeline.json
+#                    within the BENCHMARK.json bounds. Takes ~3-4 minutes.
 #   --chaos          additionally run the sarad service-level chaos soak
 #                    (two fixed seeds): fault-injected store, byte budget,
 #                    crash restarts, transport abuse. Any panic, hang, or
@@ -59,14 +62,18 @@ run_fuzz() {
     echo "== sara-fuzz ($fuzz_budget cases, fixed seed)"
     cargo run --release -q -p sara-fuzz --bin sara-fuzz -- \
       --cases "$fuzz_budget" --seed 23162 --artifact-dir fuzz-artifacts
+    echo "== sara-fuzz --fault-mode ($fuzz_budget cases, fixed seed)"
+    cargo run --release -q -p sara-fuzz --bin sara-fuzz -- \
+      --cases "$fuzz_budget" --seed 23162 --fault-mode --artifact-dir fuzz-artifacts
   fi
 }
 
 run_faults() {
   if [[ "$faults" == 1 ]]; then
     echo "== fault-campaign (seeded plans, every registry workload)"
-    cargo run --release -q -p sara-bench --bin fault-campaign -- \
-      --plans 6 --seed 1025559 --out fault_campaign
+    cargo build --release -q -p sara-bench --bin fault-campaign
+    ./target/release/fault-campaign --plans 8 --seed 1025559 --out fault_campaign
+    ./target/release/fault-campaign --plans 4 --seed 20250806 --dense --out fault_campaign_dense
   fi
 }
 
@@ -74,8 +81,8 @@ run_chaos() {
   if [[ "$chaos" == 1 ]]; then
     echo "== sarad-chaos (two fixed seeds)"
     cargo build --release -q -p sarad --bin sarad-chaos
-    ./target/release/sarad-chaos --seed 803405 --ops 60 --watchdog-secs 60
-    ./target/release/sarad-chaos --seed 3735928559 --ops 60 --watchdog-secs 60
+    ./target/release/sarad-chaos --seed 803405 --ops 80 --watchdog-secs 60
+    ./target/release/sarad-chaos --seed 3735928559 --ops 80 --watchdog-secs 60
   fi
 }
 
@@ -89,12 +96,8 @@ run_multichip() {
 
 run_bench() {
   if [[ "$bench" == 1 ]]; then
-    echo "== simperf (smoke scale, gated on committed baseline)"
-    SARA_BENCH_SMOKE=1 SARA_BENCH_RESULTS_DIR="${SARA_BENCH_RESULTS_DIR:-perf-artifacts}" \
-      cargo run --release -q -p sara-bench --bin simperf -- \
-      --out BENCH_sim_throughput \
-      --baseline results/BENCH_sim_throughput.json \
-      --max-regress 0.20
+    echo "== pipeline performance gate (pipebench vs committed baseline)"
+    scripts/pipegate.sh
   fi
 }
 
